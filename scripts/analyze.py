@@ -40,8 +40,7 @@ sites, lock scopes) and runs four inter-procedural checks over it:
                    synchronization members themselves are exempt;
                    std::atomic fields are exempt from the ANNOTATION
                    ratchet but are NOT exempt from analysis: every one
-                   is classified by the atomic-ordering audit below and
-                   inventoried in the shard map).
+                   is classified by the atomic-ordering audit below).
                    Existing debt lives in scripts/analyze_baseline.json
                    and may only SHRINK: a baselined field that gains an
                    annotation (or disappears) must be removed from the
@@ -74,7 +73,7 @@ sites, lock scopes) and runs four inter-procedural checks over it:
                    every lock domain and will not survive sharding.
                    thread_local, const/constexpr, atomics and
                    singletons whose class owns a mutex are classified
-                   clean (and inventoried in the shard map).
+                   clean.
   guarded-escape   References, pointers or iterators to an
                    EDADB_GUARDED_BY field that escape the owning class:
                    returned from a method (by reference/pointer/
@@ -83,37 +82,15 @@ sites, lock scopes) and runs four inter-procedural checks over it:
                    or handed to a deferred callee. Once domains are
                    sharded these become cross-shard aliases.
 
-Shard map artifact
-------------------
-`--write-shardmap` regenerates scripts/analyze_shardmap.json from the
-src/ model: every lock domain (owner class -> mutexes -> guarded fields
--> methods touching them), every atomic field with its ordering
-classification, every global/singleton, and the cross-domain call edges
-from the call-graph closure. The artifact is committed; CI and
-check.sh regenerate it and fail on drift (`--check-shardmap`), so new
-ambient shared state cannot sneak in silently. It is the planning input
-for the sharding refactor (DESIGN.md §12).
-
-Frontends
----------
-  --frontend=clang    Drives `clang++ -fsyntax-only -Xclang
-                      -ast-dump=json` over compile_commands.json (no
-                      libclang needed) and extracts the model from the
-                      JSON AST.
-  --frontend=builtin  A dependency-free structural parser (scope/brace
-                      tracking over comment- and string-stripped
-                      source). Deliberately under-approximate: a call it
-                      cannot resolve contributes no edges, so it reports
-                      no false cycles.
-  --frontend=auto     clang if a working clang++ is on PATH, else
-                      builtin.
-
-The ctest/check.sh/CI gate pins --frontend=builtin so fingerprints (and
-the suppression/baseline files keyed on them) are identical on machines
-with and without LLVM; clang mode is an opt-in cross-check. Both
-frontends feed the same fact model and the same checks, and
---self-test validates whichever frontend runs against the seeded
-fixtures in scripts/analyze_fixtures/.
+Parser
+------
+The fact model comes from a dependency-free structural parser (scope/
+brace tracking over comment- and string-stripped source), so the gate
+needs no compiler toolchain and its fingerprints (and the suppression/
+baseline files keyed on them) are identical on every machine. It is
+deliberately under-approximate: a call it cannot resolve contributes no
+edges, so it reports no false cycles. --self-test validates it against
+the seeded fixtures in scripts/analyze_fixtures/.
 
 Findings, suppression, baseline
 -------------------------------
@@ -139,19 +116,16 @@ import hashlib
 import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 from collections import defaultdict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUPPRESS_PATH = os.path.join(REPO_ROOT, "scripts", "analyze_suppress.json")
 BASELINE_PATH = os.path.join(REPO_ROOT, "scripts", "analyze_baseline.json")
-SHARDMAP_PATH = os.path.join(REPO_ROOT, "scripts", "analyze_shardmap.json")
 FIXTURE_DIR = os.path.join(REPO_ROOT, "scripts", "analyze_fixtures")
 
 # --------------------------------------------------------------------------
-# Fact model (shared by both frontends)
+# Fact model
 # --------------------------------------------------------------------------
 
 
@@ -273,7 +247,6 @@ class FunctionInfo:
         self.clock_uses = []  # ClockUse
         self.atomic_ops = []  # AtomicOp
         self.escapes = []  # EscapeUse
-        self.field_uses = set()  # names of own-class fields touched
         self.returns_ref = False  # declared return type is T& / T*
         self.statics = {}  # static-local name -> GlobalInfo key
 
@@ -456,7 +429,7 @@ ESCAPE_ITER_RE_TMPL = r"\b%s\s*\.\s*(begin|end|data|c_str|rbegin|rend)\s*\("
 
 
 # --------------------------------------------------------------------------
-# Builtin frontend: structural scanner
+# Structural scanner
 # --------------------------------------------------------------------------
 
 
@@ -513,9 +486,9 @@ PARAM_RE = re.compile(r"([A-Z]\w*)\s*[*&]+\s*(?:const\s+)?([a-z_]\w*)")
 
 
 class BuiltinFrontend:
-    """Clock-domain taint scanner shared by both frontends. The rest of
-    the builtin fact extraction lives in builtin_parse_file below (the
-    scope/brace scanner reads better as one closure-heavy function)."""
+    """Clock-domain taint scanner. The rest of the fact extraction lives
+    in builtin_parse_file below (the scope/brace scanner reads better as
+    one closure-heavy function)."""
 
     def __init__(self, model):
         self.model = model
@@ -566,14 +539,13 @@ class BuiltinFrontend:
 # BuiltinFrontend delegates here.
 
 
-def builtin_parse_file(model, path, rel, phase="both"):
+def builtin_parse_file(model, path, rel, phase):
     """Scans one file. `phase` exists because lock resolution needs the
     complete class picture (an inline method body may precede the mutex
     declaration it locks, and .cc files may use classes declared in
     headers parsed later): callers run a "decls" pass over every file to
     register classes/mutexes/fields/methods, then a "facts" pass to
-    extract function facts against the finished declarations. "both"
-    remains for single-file uses that only need clock taint."""
+    extract function facts against the finished declarations."""
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             raw_lines = f.read().split("\n")
@@ -764,7 +736,7 @@ def builtin_parse_file(model, path, rel, phase="both"):
         return key
 
     def guarded_stmt_facts(stmt, line, f):
-        """Field-touch inventory plus guarded-field escape detection."""
+        """Guarded-field escape detection."""
         info = model.classes.get(f.cls) if f.cls else None
         if info is None:
             return
@@ -773,10 +745,8 @@ def builtin_parse_file(model, path, rel, phase="both"):
         touched_guarded = []
         for m in re.finditer(r"[A-Za-z_]\w*", stmt):
             w = m.group(0)
-            if w in field_names:
-                f.field_uses.add(w)
-                if w in info.guarded and w not in touched_guarded:
-                    touched_guarded.append(w)
+            if w in info.guarded and w not in touched_guarded:
+                touched_guarded.append(w)
         if not touched_guarded:
             return
         s = " ".join(stmt.split())
@@ -845,8 +815,8 @@ def builtin_parse_file(model, path, rel, phase="both"):
             exempt = "condvar"
         elif ATOMIC_DECL_RE.search(ftype):
             # Exempt from the ANNOTATION ratchet only; every atomic is
-            # classified by check_atomic_ordering and inventoried in the
-            # shard map (no blanket analysis exemption).
+            # classified by check_atomic_ordering (no blanket analysis
+            # exemption).
             exempt = "atomic"
             cls.atomics[fname] = line
         elif re.search(r"[*&]\s*const$", ftype):
@@ -1018,7 +988,7 @@ def builtin_parse_file(model, path, rel, phase="both"):
                     # Control-flow headers never reach process_stmt (no
                     # terminating ';'), but their conditions carry
                     # atomic ops (`while (running_.load(...))`) and
-                    # field touches the audit must see.
+                    # guarded-field uses the escape check must see.
                     if phase != "decls" and header:
                         atomic_stmt(header, start, enclosing_func())
                         guarded_stmt_facts(header, start, enclosing_func())
@@ -1089,259 +1059,6 @@ def builtin_parse_file(model, path, rel, phase="both"):
             pending.append(c)
             i += 1
         pending.append(" ")
-
-
-# --------------------------------------------------------------------------
-# Clang JSON-AST frontend
-# --------------------------------------------------------------------------
-
-
-class ClangFrontend:
-    """Extracts the same fact model from `clang++ -fsyntax-only -Xclang
-    -ast-dump=json` output, one TU at a time from compile_commands.json.
-    No libclang required. Untested on machines without clang++ (the
-    builtin frontend is the gate there); self-test covers it wherever a
-    working clang++ exists."""
-
-    def __init__(self, model, clangxx):
-        self.model = model
-        self.clangxx = clangxx
-
-    def parse_compile_commands(self, path, only_src=True):
-        with open(path, encoding="utf-8") as f:
-            entries = json.load(f)
-        seen = set()
-        for entry in entries:
-            src = os.path.normpath(
-                os.path.join(entry.get("directory", "."), entry["file"]))
-            rel = os.path.relpath(src, REPO_ROOT).replace(os.sep, "/")
-            if only_src and not rel.startswith("src/"):
-                continue
-            if src in seen:
-                continue
-            seen.add(src)
-            args = entry.get("arguments")
-            if not args:
-                args = entry.get("command", "").split()
-            self.parse_tu(src, rel, args)
-
-    def parse_tu(self, src, rel, args):
-        cmd = [self.clangxx]
-        skip_next = False
-        for a in args[1:]:
-            if skip_next:
-                skip_next = False
-                continue
-            if a in ("-o", "-c"):
-                skip_next = a == "-o"
-                continue
-            if a == src or a.endswith(rel):
-                continue
-            cmd.append(a)
-        cmd += ["-fsyntax-only", "-Xclang", "-ast-dump=json", src]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=300)
-            ast = json.loads(proc.stdout)
-        except Exception as e:  # noqa: BLE001 - report and continue
-            print(f"analyze.py: clang frontend failed on {rel}: {e}",
-                  file=sys.stderr)
-            return
-        self._walk_top(ast, rel)
-        # Clock taint, atomic orderings, escapes and the global
-        # inventory stay textual even in clang mode: macro annotations
-        # and memory_order arguments read clearer from source, and the
-        # heuristics are textual by nature. Reuse the builtin scanner.
-        builtin_textual_facts(self.model, src, rel)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _loc_line(self, node):
-        loc = node.get("loc") or {}
-        return loc.get("line") or (loc.get("expansionLoc") or {}).get(
-            "line") or 0
-
-    def _walk_top(self, node, rel, cls=None):
-        kind = node.get("kind")
-        if kind == "CXXRecordDecl" and node.get("completeDefinition"):
-            name = node.get("name")
-            if name:
-                info = self.model.get_class(name, rel, self._loc_line(node))
-                self._fields(node, info)
-                cls = name
-        if kind in ("CXXMethodDecl", "CXXConstructorDecl", "FunctionDecl"):
-            body = [i for i in node.get("inner", [])
-                    if i.get("kind") == "CompoundStmt"]
-            if body:
-                name = node.get("name", "")
-                qual = f"{cls}::{name}" if cls else name
-                f = FunctionInfo(qual, cls, rel, self._loc_line(node))
-                self.model.functions[qual] = f
-                self._walk_body(body[0], f, held=[], loop=False)
-                return
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict):
-                self._walk_top(child, rel, cls)
-
-    def _fields(self, node, info):
-        for child in node.get("inner", []) or []:
-            if child.get("kind") != "FieldDecl":
-                continue
-            fname = child.get("name")
-            ftype = (child.get("type") or {}).get("qualType", "")
-            line = self._loc_line(child)
-            if fname is None:
-                continue
-            base = re.sub(r"^(?:const\s+)?(?:std::(?:unique|shared)_ptr<)?"
-                          r"([A-Za-z_][\w:]*).*$", r"\1", ftype)
-            base = base.split("::")[-1]
-            info.field_types.setdefault(fname, base)
-            if re.search(r"\b(?:Recursive)?Mutex\b", ftype):
-                # Registered name needs the initializer string literal.
-                lit = self._find_string_literal(child)
-                info.mutexes[fname] = lit or f"{info.name}::{fname}"
-                continue
-            guarded = any("guarded" in (c.get("kind") or "").lower()
-                          for c in child.get("inner", []) or [])
-            exempt = None
-            if "CondVar" in ftype:
-                exempt = "condvar"
-            elif "atomic" in ftype:
-                exempt = "atomic"
-            elif ftype.startswith("const "):
-                exempt = "const"
-            info.fields.append((fname, line, guarded, exempt))
-
-    def _find_string_literal(self, node):
-        if node.get("kind") == "StringLiteral":
-            v = node.get("value", "")
-            return v.strip('"')
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict):
-                got = self._find_string_literal(child)
-                if got:
-                    return got
-        return None
-
-    def _walk_body(self, node, f, held, loop):
-        kind = node.get("kind", "")
-        if kind in ("WhileStmt", "DoStmt", "ForStmt", "CXXForRangeStmt"):
-            loop = True
-        if kind == "CXXConstructExpr":
-            ctype = (node.get("type") or {}).get("qualType", "")
-            if "MutexLock" in ctype:
-                lock = self._member_lock(node, f)
-                if lock:
-                    for h in held:
-                        f.lock_edges.append((h, lock, self._loc_line(node)))
-                    f.acquires.append((lock, self._loc_line(node)))
-                    held = held + [lock]
-        if kind in ("CallExpr", "CXXMemberCallExpr"):
-            cal = self._callee(node)
-            if cal:
-                recv, name = cal
-                line = self._loc_line(node)
-                if name in ("Wait", "WaitForMicros"):
-                    waited = self._member_lock(node, f)
-                    f.blocks.append(BlockOp("cv-wait", line, tuple(held),
-                                            loop, waited_lock=waited))
-                elif name in BLOCKING_PRIMS:
-                    f.blocks.append(BlockOp(BLOCKING_PRIMS[name], line,
-                                            tuple(held), loop))
-                elif not name.startswith(CALL_SKIP_PREFIXES):
-                    f.calls.append(CallSite(recv, "->", name, line,
-                                            tuple(held)))
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict):
-                self._walk_body(child, f, held, loop)
-
-    def _callee(self, node):
-        def first_member_or_ref(n):
-            k = n.get("kind")
-            if k == "MemberExpr":
-                return (self._recv_name(n), n.get("name"))
-            if k == "DeclRefExpr":
-                ref = (n.get("referencedDecl") or {}).get("name")
-                return (None, ref) if ref else None
-            for c in n.get("inner", []) or []:
-                if isinstance(c, dict):
-                    got = first_member_or_ref(c)
-                    if got:
-                        return got
-            return None
-        inner = node.get("inner", []) or []
-        if not inner:
-            return None
-        got = first_member_or_ref(inner[0])
-        if got and got[1]:
-            return got
-        return None
-
-    def _recv_name(self, member_expr):
-        for c in member_expr.get("inner", []) or []:
-            if isinstance(c, dict):
-                if c.get("kind") == "MemberExpr":
-                    return c.get("name")
-                if c.get("kind") == "DeclRefExpr":
-                    return (c.get("referencedDecl") or {}).get("name")
-                got = self._recv_name(c)
-                if got:
-                    return got
-        return None
-
-    def _member_lock(self, node, f):
-        def find_member(n):
-            if n.get("kind") == "MemberExpr":
-                return n.get("name")
-            for c in n.get("inner", []) or []:
-                if isinstance(c, dict):
-                    got = find_member(c)
-                    if got:
-                        return got
-            return None
-        field = find_member(node)
-        if field is None:
-            return None
-        info = self.model.classes.get(f.cls) if f.cls else None
-        if info and field in info.mutexes:
-            return info.mutexes[field]
-        for info in self.model.classes.values():
-            if field in info.mutexes:
-                return info.mutexes[field]
-        return None
-
-
-def builtin_textual_facts(model, path, rel):
-    """Merges the textual-by-nature facts from the builtin scanner into a
-    clang-frontend model: clock-domain taint, atomic-ordering sites,
-    guarded-field escapes/touches, the global/static inventory, and the
-    guarded/atomic field maps (the JSON AST drops macro annotations and
-    memory_order arguments are clearer read from source). The clang
-    frontend handles calls/locks/waits from the AST."""
-    sub = Model()
-    builtin_parse_file(sub, path, rel)
-    for qual, f in sub.functions.items():
-        if not (f.clock_uses or f.atomic_ops or f.escapes or f.field_uses
-                or f.statics):
-            continue
-        tgt = model.functions.setdefault(qual, FunctionInfo(
-            qual, f.cls, f.file, f.line))
-        tgt.clock_uses.extend(f.clock_uses)
-        tgt.atomic_ops.extend(f.atomic_ops)
-        tgt.escapes.extend(f.escapes)
-        tgt.field_uses |= f.field_uses
-        tgt.returns_ref = tgt.returns_ref or f.returns_ref
-        tgt.statics.update(f.statics)
-    for key, g in sub.globals.items():
-        model.globals.setdefault(key, g)
-    for name, c in sub.classes.items():
-        tgt = model.classes.get(name)
-        if tgt is None:
-            continue
-        tgt.guarded.update(c.guarded)
-        for fn, ln in c.atomics.items():
-            tgt.atomics.setdefault(fn, ln)
-        tgt.has_raw_mutex = tgt.has_raw_mutex or c.has_raw_mutex
 
 
 # --------------------------------------------------------------------------
@@ -1805,113 +1522,6 @@ def write_baseline(findings, suppressions):
 
 
 # --------------------------------------------------------------------------
-# Shard map artifact
-# --------------------------------------------------------------------------
-
-
-def build_shardmap(model, analyzer):
-    """The sharding refactor's planning input: every lock domain, atomic,
-    global/singleton and cross-domain call edge in src/, as one
-    deterministic JSON object (sorted keys, sorted lists, no lines that
-    churn on unrelated edits beyond decl lines)."""
-    def in_src(rel):
-        return rel.startswith("src/")
-
-    domains = []
-    for name in sorted(model.classes):
-        cls = model.classes[name]
-        if not in_src(cls.file) or not (cls.mutexes or cls.atomics):
-            continue
-        touchers = defaultdict(set)  # field -> method names touching it
-        for qual, f in model.functions.items():
-            if f.cls != name:
-                continue
-            method = qual.split("::")[-1]
-            for fld in f.field_uses:
-                touchers[fld].add(method)
-        guarded = {}
-        for fld in sorted(cls.guarded):
-            mu_field = cls.guarded[fld]
-            guarded[fld] = {
-                "mutex": cls.mutexes.get(mu_field, f"{name}::{mu_field}"),
-                "methods": sorted(touchers.get(fld, ())),
-            }
-        unguarded = sorted(
-            fn for fn, _l, g, ex in cls.fields
-            if not g and ex is None and fn not in cls.mutexes)
-        domains.append({
-            "class": name,
-            "file": cls.file,
-            "mutexes": sorted(set(cls.mutexes.values())),
-            "raw_mutex": cls.has_raw_mutex,
-            "atomic_fields": sorted(cls.atomics),
-            "guarded_fields": guarded,
-            "unguarded_fields": unguarded,
-        })
-
-    atomics = []
-    for var, ops in sorted(analyzer.atomic_sites().items()):
-        src_ops = [o for o in ops if in_src(o.file)]
-        if not src_ops:
-            continue
-        orderings = sorted({
-            o.op + ":" + o.order + ("" if o.explicit_order else ":defaulted")
-            for o in src_ops})
-        atomics.append({
-            "var": var,
-            "files": sorted({o.file for o in src_ops}),
-            "orderings": orderings,
-            "sites": len(src_ops),
-        })
-
-    globs = []
-    for key in sorted(model.globals):
-        g = model.globals[key]
-        if not in_src(g.file):
-            continue
-        kind, pointee = analyzer.effective_global(g)
-        ent = {"key": key, "kind": kind, "type": g.type, "file": g.file}
-        if pointee:
-            ent["pointee"] = pointee
-        globs.append(ent)
-
-    owners = {n for n, c in model.classes.items()
-              if c.mutexes and in_src(c.file)}
-    edges = {}
-    for qual in sorted(model.functions):
-        f = model.functions[qual]
-        if f.cls not in owners:
-            continue
-        for callee, _line, _held in analyzer.call_graph.get(qual, ()):
-            cf = model.functions.get(callee)
-            if cf is None or not cf.cls or cf.cls == f.cls:
-                continue
-            if cf.cls in owners:
-                edges.setdefault((f.cls, cf.cls), f"{qual} -> {callee}")
-    cross = [{"from": a, "to": b, "via": via}
-             for (a, b), via in sorted(edges.items())]
-
-    return {
-        "comment": "Shared-state shard map over src/ (DESIGN.md section "
-                   "12): lock domains (owner class -> mutexes -> guarded "
-                   "fields -> touching methods), every atomic with its "
-                   "observed orderings, every global/singleton, and "
-                   "cross-domain call edges. Regenerate with scripts/"
-                   "analyze.py --write-shardmap; CI fails on drift.",
-        "schema": "edadb-shardmap-v1",
-        "domains": domains,
-        "atomics": atomics,
-        "globals": globs,
-        "cross_domain_edges": cross,
-    }
-
-
-def shardmap_text(model, analyzer):
-    return json.dumps(build_shardmap(model, analyzer), indent=2,
-                      sort_keys=True) + "\n"
-
-
-# --------------------------------------------------------------------------
 # Driving
 # --------------------------------------------------------------------------
 
@@ -1929,35 +1539,12 @@ def iter_sources(paths):
                     yield os.path.join(dirpath, fn)
 
 
-def build_model(frontend, paths, compile_commands):
+def build_model(paths):
+    # A decls pass over everything first, so mutex names, field types
+    # and annotations are all known before any body is parsed (inline
+    # methods may precede the members they use; .cc files use classes
+    # declared elsewhere).
     model = Model()
-    if frontend == "clang":
-        clangxx = shutil.which("clang++")
-        if clangxx is None:
-            print("analyze.py: --frontend=clang but no clang++ on PATH; "
-                  "use --frontend=builtin (the pinned gate) instead",
-                  file=sys.stderr)
-            return None
-        if not compile_commands or not os.path.exists(compile_commands):
-            print("analyze.py: clang frontend needs --compile-commands "
-                  "pointing at a compile_commands.json", file=sys.stderr)
-            return None
-        # Headers carry class/mutex declarations the AST of each TU
-        # already includes; the builtin pre-pass on headers fills any
-        # gaps (e.g. classes only used header-only).
-        headers = [p for p in iter_sources(paths) if p.endswith(".h")]
-        for path in headers:
-            rel = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
-            builtin_parse_file(model, path, rel, phase="decls")
-        for path in headers:
-            rel = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
-            builtin_parse_file(model, path, rel, phase="facts")
-        ClangFrontend(model, clangxx).parse_compile_commands(compile_commands)
-        return model
-    # builtin: a decls pass over everything first, so mutex names, field
-    # types and annotations are all known before any body is parsed
-    # (inline methods may precede the members they use; .cc files use
-    # classes declared elsewhere).
     ordered = sorted(iter_sources(paths),
                      key=lambda p: (not p.endswith(".h"), p))
     for path in ordered:
@@ -1969,12 +1556,6 @@ def build_model(frontend, paths, compile_commands):
     return model
 
 
-def pick_frontend(requested):
-    if requested != "auto":
-        return requested
-    return "clang" if shutil.which("clang++") else "builtin"
-
-
 # --------------------------------------------------------------------------
 # Self-test
 # --------------------------------------------------------------------------
@@ -1983,13 +1564,12 @@ EXPECT_RE = re.compile(
     r"//\s*expect-analyze:\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)")
 
 
-def run_self_test(frontend):
+def run_self_test():
     """Fixtures in scripts/analyze_fixtures/ seed one violation per
     `// expect-analyze: check[, check]` comment; the self-test fails if
     any expected finding is missed or any unexpected one fires. The
     fixtures are valid C++ (they compile with the real headers absent --
-    support.h carries mini shims), so the clang frontend can analyze
-    them too wherever clang++ exists."""
+    support.h carries mini shims)."""
     if not os.path.isdir(FIXTURE_DIR):
         print("analyze.py --self-test: no fixture dir", FIXTURE_DIR,
               file=sys.stderr)
@@ -2001,31 +1581,13 @@ def run_self_test(frontend):
         print("analyze.py --self-test: no fixtures found", file=sys.stderr)
         return 2
 
-    fe = pick_frontend(frontend)
     model = Model()
-    if fe == "clang":
-        clangxx = shutil.which("clang++")
-        cf = ClangFrontend(model, clangxx)
-        for path in files:
-            rel = "scripts/analyze_fixtures/" + os.path.basename(path)
-            if path.endswith(".h"):
-                builtin_parse_file(model, path, rel, phase="decls")
-        for path in files:
-            rel = "scripts/analyze_fixtures/" + os.path.basename(path)
-            if path.endswith(".h"):
-                builtin_parse_file(model, path, rel, phase="facts")
-        for path in files:
-            rel = "scripts/analyze_fixtures/" + os.path.basename(path)
-            if path.endswith(".cc"):
-                cf.parse_tu(path, rel,
-                            ["clang++", "-std=c++20", "-I", FIXTURE_DIR])
-    else:
-        for path in files:
-            rel = "scripts/analyze_fixtures/" + os.path.basename(path)
-            builtin_parse_file(model, path, rel, phase="decls")
-        for path in files:
-            rel = "scripts/analyze_fixtures/" + os.path.basename(path)
-            builtin_parse_file(model, path, rel, phase="facts")
+    for path in files:
+        rel = "scripts/analyze_fixtures/" + os.path.basename(path)
+        builtin_parse_file(model, path, rel, phase="decls")
+    for path in files:
+        rel = "scripts/analyze_fixtures/" + os.path.basename(path)
+        builtin_parse_file(model, path, rel, phase="facts")
 
     findings = Analyzer(model).run()
 
@@ -2055,12 +1617,11 @@ def run_self_test(frontend):
             print(f"SELF-TEST FAIL {loc[0]}:{loc[1]}: unexpected [{c}]")
             failures += 1
     if failures:
-        print(f"analyze.py --self-test ({fe} frontend): {failures} "
-              f"failure(s).")
+        print(f"analyze.py --self-test: {failures} failure(s).")
         return 1
     n = sum(len(v) for v in expected.values())
-    print(f"analyze.py --self-test ({fe} frontend): {len(files)} fixture "
-          f"file(s), {n} seeded finding(s), all detected, no extras.")
+    print(f"analyze.py --self-test: {len(files)} fixture file(s), {n} "
+          f"seeded finding(s), all detected, no extras.")
     return 0
 
 
@@ -2076,13 +1637,6 @@ def main():
     ap.add_argument("paths", nargs="*",
                     help="files or directories to analyze (default: src/ "
                     "bench/ examples/)")
-    ap.add_argument("--frontend", choices=("auto", "builtin", "clang"),
-                    default="builtin",
-                    help="fact extractor (default: builtin -- the pinned "
-                    "gate; clang is an opt-in cross-check)")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json (required for clang mode; "
-                    "accepted and used only as a TU filter otherwise)")
     ap.add_argument("--self-test", action="store_true",
                     help="analyze the seeded fixtures and verify every "
                     "expected finding fires exactly where declared")
@@ -2092,31 +1646,19 @@ def main():
                     "only after paying debt down)")
     ap.add_argument("--all", action="store_true",
                     help="print suppressed/baselined findings too")
-    ap.add_argument("--write-shardmap", action="store_true",
-                    help="regenerate scripts/analyze_shardmap.json from "
-                    "the src/ model and exit")
-    ap.add_argument("--check-shardmap", action="store_true",
-                    help="fail if scripts/analyze_shardmap.json drifts "
-                    "from what the current tree regenerates (run by "
-                    "check.sh stage 1b and CI)")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     help="findings output: human text (default) or a "
                     "fingerprint-keyed JSON document (CI artifact)")
     args = ap.parse_args()
 
     if args.self_test:
-        return run_self_test(args.frontend)
+        return run_self_test()
 
-    frontend = pick_frontend(args.frontend)
     paths = args.paths or [os.path.join(REPO_ROOT, d)
                            for d in ("src", "bench", "examples")
                            if os.path.isdir(os.path.join(REPO_ROOT, d))]
-    model = build_model(frontend, paths, args.compile_commands)
-    if model is None:
-        return 2
-
-    analyzer = Analyzer(model)
-    findings = analyzer.run()
+    model = build_model(paths)
+    findings = Analyzer(model).run()
 
     try:
         suppressions = load_entries(SUPPRESS_PATH, require_reason=True)
@@ -2129,34 +1671,14 @@ def main():
         write_baseline(findings, suppressions)
         return 0
 
-    if args.write_shardmap:
-        with open(SHARDMAP_PATH, "w", encoding="utf-8") as f:
-            f.write(shardmap_text(model, analyzer))
-        print(f"analyze.py: wrote "
-              f"{os.path.relpath(SHARDMAP_PATH, REPO_ROOT)}")
-        return 0
-
     active, errors = apply_filters(findings, suppressions, baseline)
 
-    if args.check_shardmap:
-        want = shardmap_text(model, analyzer)
-        have = ""
-        if os.path.exists(SHARDMAP_PATH):
-            with open(SHARDMAP_PATH, encoding="utf-8") as f:
-                have = f.read()
-        if want != have:
-            errors.append(
-                "scripts/analyze_shardmap.json is stale -- regenerate "
-                "with scripts/analyze.py --write-shardmap and commit it "
-                "(the shard map may not drift silently)")
-
     stats = (f"{len(model.classes)} classes, {len(model.functions)} "
-             f"functions, frontend={frontend}")
+             f"functions")
 
     if args.format == "json":
         doc = {
             "schema": "edadb-analyze-findings-v1",
-            "frontend": frontend,
             "clean": not (active or errors),
             "stats": {"classes": len(model.classes),
                       "functions": len(model.functions)},

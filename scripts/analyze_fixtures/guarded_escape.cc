@@ -61,6 +61,5 @@ class EscapeCache {
 
 }  // namespace fx
 
-// clang frontend only syntax-checks the fixture; give RunDeferred a
-// definition so builtin/clang models stay byte-identical anyway.
+// Defined so the fixture is complete, valid C++ (see support.h).
 void fx::RunDeferred(const std::function<void()>& fn) { fn(); }

@@ -1,9 +1,8 @@
 // Mini shims so the analyzer fixtures are valid, self-contained C++.
 //
-// The builtin frontend only needs the *shapes* (Mutex members, MutexLock
-// RAII, CondVar::Wait, ::fdatasync), but keeping the fixtures compilable
-// means the clang JSON-AST frontend can analyze the very same files on
-// machines that have clang++ (`analyze.py --self-test --frontend=clang`).
+// The analyzer only needs the *shapes* (Mutex members, MutexLock RAII,
+// CondVar::Wait, ::fdatasync); the shims keep each fixture valid C++, so
+// a seeded violation is written the way real code would write it.
 //
 // This header must itself produce ZERO findings: the self-test treats any
 // finding without a matching `// expect-analyze:` comment as a failure.

@@ -105,18 +105,12 @@ fi
 stage "1 lint (self-test + tree)" \
   bash -c "\"$PYTHON\" scripts/lint.py --self-test && \"$PYTHON\" scripts/lint.py"
 
-# Whole-program concurrency & clock-domain analyzer (scripts/analyze.py):
-# self-test against the seeded fixtures, then the tree gate — zero
-# unsuppressed/unbaselined findings — then the shard-map drift check
-# (the committed scripts/analyze_shardmap.json must match what the tree
-# generates; regenerate with --write-shardmap after changing a lock
-# domain, atomic, or global). The builtin frontend is the pinned gate
-# (pure python, no LLVM needed); --frontend=clang is an opt-in
-# cross-check where clang++ exists.
-stage "1b analyze (self-test + tree + shard map)" \
+# Whole-program concurrency & clock-domain analyzer (scripts/analyze.py,
+# pure python): self-test against the seeded fixtures, then the tree
+# gate — zero unsuppressed/unbaselined findings.
+stage "1b analyze (self-test + tree)" \
   bash -c "\"$PYTHON\" scripts/analyze.py --self-test && \
-    \"$PYTHON\" scripts/analyze.py --frontend=builtin && \
-    \"$PYTHON\" scripts/analyze.py --check-shardmap"
+    \"$PYTHON\" scripts/analyze.py"
 
 stage "2 -Werror build + tier-1 tests" \
   run_suite build-check -DEDADB_WERROR=ON

@@ -8,8 +8,8 @@
 // ---------------------------------------------------------------------
 // Clang thread-safety analysis annotations.
 //
-// Every mutex-protected member in the concurrent hot path (EventBus,
-// RulesEngine, Broker, QueueManager, dispatcher/propagator, ...) is
+// Every mutex-protected member in the concurrent hot path (RulesEngine,
+// Broker, QueueManager, dispatcher/propagator, ...) is
 // declared EDADB_GUARDED_BY(mu_) and every helper that assumes a held
 // lock is declared EDADB_REQUIRES(mu_), so `clang++ -Wthread-safety`
 // machine-checks the locking discipline at compile time. Under other

@@ -1,6 +1,7 @@
 #ifndef EDADB_COMMON_STATUS_H_
 #define EDADB_COMMON_STATUS_H_
 
+#include <exception>
 #include <ostream>
 #include <source_location>
 #include <string>
@@ -287,6 +288,27 @@ class EDADB_NODISCARD Status {
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {
   return os << s.ToString();
+}
+
+/// Calls `fn`, an application callback that may throw even though the
+/// library never does, and converts anything it throws into an Internal
+/// status, so one bad callback cannot abort the fan-out that invoked it.
+/// `what` and `name` label the callback in the message, e.g. ("handler
+/// for subscriber", "ops"); they are only formatted on failure.
+template <typename Fn>
+Status InvokeCatching(std::string_view what, std::string_view name,
+                      Fn&& fn) {
+  const auto label = [&] {
+    return std::string(what) + " '" + std::string(name) + "' threw";
+  };
+  try {
+    std::forward<Fn>(fn)();
+  } catch (const std::exception& e) {
+    return Status::Internal(label() + ": " + e.what());
+  } catch (...) {
+    return Status::Internal(label() + " a non-std::exception");
+  }
+  return Status::OK();
 }
 
 }  // namespace edadb

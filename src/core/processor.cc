@@ -51,7 +51,6 @@ Result<std::unique_ptr<EventProcessor>> EventProcessor::Open(
                          MetricsTable::Attach(processor->db_.get()));
   processor->dispatcher_ =
       std::make_unique<ShardedDispatcher>(processor->queues_.get());
-  EDADB_RETURN_IF_ERROR(processor->Wire());
   // Export the instance counters process-wide (multiple processors sum).
   EventProcessor* raw = processor.get();
   processor->metrics_collector_ =
@@ -73,18 +72,6 @@ Result<std::unique_ptr<EventProcessor>> EventProcessor::Open(
             emit("core.ingest_failures", raw->ingest_failures_.Value());
           });
   return processor;
-}
-
-Status EventProcessor::Wire() {
-  // Rule actions with routing prefixes are handled by the processor;
-  // other actions fall through to handlers the application registers.
-  rules_->RegisterDefaultHandler(
-      [this](const Rule& rule, const RowAccessor& /*event_view*/) {
-        // Routing needs the full Event, which the bus subscription below
-        // carries; this default handler only counts unrouted matches.
-        (void)rule;
-      });
-  return Status::OK();
 }
 
 void EventProcessor::RouteAction(const Rule& rule, const Event& event) {
@@ -191,10 +178,6 @@ Status EventProcessor::IngestBatch(std::vector<Event> events) {
   }
   ingested_.Add(events.size());
 
-  // Let bus subscribers (windows, monitors, application code) see the
-  // whole batch under one subscriber snapshot.
-  bus_.PublishBatch(events);
-
   // Evaluate critical conditions (handlers registered on rules() fire
   // inside EvaluateBatch), then interpret routing action tags per event.
   std::vector<EventView> views;
@@ -203,15 +186,12 @@ Status EventProcessor::IngestBatch(std::vector<Event> events) {
   std::vector<const RowAccessor*> accessors;
   accessors.reserve(events.size());
   for (const EventView& view : views) accessors.push_back(&view);
-  EDADB_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> matched,
+  EDADB_ASSIGN_OR_RETURN(std::vector<std::vector<Rule>> matched,
                          rules_->EvaluateBatch(accessors));
   for (size_t i = 0; i < events.size(); ++i) {
     rules_matched_.Add(matched[i].size());
-    for (const std::string& rule_id : matched[i]) {
-      std::optional<Rule> rule = rules_->FindRule(rule_id);
-      if (rule.has_value() && !rule->action.empty()) {
-        RouteAction(*rule, events[i]);
-      }
+    for (const Rule& rule : matched[i]) {
+      if (!rule.action.empty()) RouteAction(rule, events[i]);
     }
   }
   return Status::OK();

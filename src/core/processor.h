@@ -11,7 +11,6 @@
 #include "core/audit.h"
 #include "core/metrics_table.h"
 #include "core/event.h"
-#include "core/event_bus.h"
 #include "core/sources.h"
 #include "core/responder.h"
 #include "core/virt.h"
@@ -51,8 +50,9 @@ struct EventProcessorOptions {
 /// all, or almost all, the components required for event-driven
 /// applications", in one object.
 ///
-/// Standard wiring: Ingest() publishes an event on the bus; the rules
-/// engine evaluates every bus event; matched rules route by action tag:
+/// Standard wiring: Ingest() evaluates each event against the rules
+/// engine; each matched rule routes the event by its action tag, as the
+/// rule stood when the event matched it:
 ///   "queue:<name>"  — stage the event on a queue
 ///   "topic:<name>"  — publish on the broker under that topic
 ///   "respond:<role>[:<capability>]" — dispatch via the responder
@@ -74,14 +74,14 @@ class EventProcessor {
   /// Thin wrapper over a one-event IngestBatch (single code path).
   EDADB_NODISCARD Status Ingest(Event event);
 
-  /// Batch ingest: normalizes every event, publishes the whole batch on
-  /// the bus with one subscriber snapshot, evaluates all events against
+  /// Batch ingest: normalizes every event, evaluates all events against
   /// the rule set in one matcher pass, then routes matched actions per
   /// event in order. Routing side effects (queue enqueues, topic
   /// publishes) keep per-event transactions — a poisoned event fails
   /// alone — but concurrent batches share WAL fdatasyncs via group
-  /// commit. Within a batch, every bus delivery happens before any rule
-  /// routing (per-channel order is unchanged from the per-event loop).
+  /// commit. Within a batch, every handler registered on rules() runs
+  /// before any action routing (per-channel order is unchanged from the
+  /// per-event loop).
   EDADB_NODISCARD Status IngestBatch(std::vector<Event> events);
 
   /// One scheduler tick: polls attached journal/query capture sources,
@@ -114,7 +114,6 @@ class EventProcessor {
   RulesEngine* rules() { return rules_.get(); }
   Broker* broker() { return broker_.get(); }
   Propagator* propagator() { return propagator_.get(); }
-  EventBus* bus() { return &bus_; }
   VirtFilter* virt() { return virt_.get(); }
   ResponderRegistry* responders() { return responders_.get(); }
   AuditLog* audit() { return audit_.get(); }
@@ -139,7 +138,6 @@ class EventProcessor {
  private:
   explicit EventProcessor(EventProcessorOptions options);
 
-  EDADB_NODISCARD Status Wire();
   void RouteAction(const Rule& rule, const Event& event);
   /// Capture-source callback: Ingest() with failures logged + counted
   /// (sources deliver on a void callback, so there is no caller to
@@ -158,7 +156,6 @@ class EventProcessor {
   std::unique_ptr<AuditLog> audit_;
   std::unique_ptr<MetricsTable> metrics_table_;
   std::unique_ptr<ShardedDispatcher> dispatcher_;
-  EventBus bus_;
   std::vector<std::unique_ptr<TriggerEventSource>> trigger_sources_;
   std::vector<std::unique_ptr<JournalEventSource>> journal_sources_;
   std::vector<std::unique_ptr<QueryEventSource>> query_sources_;

@@ -16,9 +16,8 @@ namespace edadb {
 
 /// The three database capture paths of §2.2.a, plus external push, all
 /// normalized into Events handed to an EventSink — typically
-/// EventProcessor::Ingest or EventBus::Publish. bench_capture (E1)
-/// drives the three against the same writes and measures throughput and
-/// staleness.
+/// EventProcessor::Ingest. bench_capture (E1) drives the three against
+/// the same writes and measures throughput and staleness.
 
 /// Where captured events go.
 using EventSink = std::function<void(const Event&)>;
@@ -28,8 +27,9 @@ using EventSink = std::function<void(const Event&)>;
 class TriggerEventSource {
  public:
   /// Registers an AFTER trigger named `trigger_name` on `table`; every
-  /// committed change becomes an Event of type `event_type` on `bus`
-  /// with the new (or, for deletes, old) row's fields as attributes.
+  /// committed change becomes an Event of type `event_type` handed to
+  /// `sink`, with the new (or, for deletes, old) row's fields as
+  /// attributes.
   EDADB_NODISCARD static Result<std::unique_ptr<TriggerEventSource>> Create(
       Database* db, EventSink sink, const std::string& table,
       const std::string& trigger_name, const std::string& event_type);
@@ -85,7 +85,7 @@ class QueryEventSource {
   uint64_t captured_ = 0;
 };
 
-/// Foreign systems deliver straight onto the bus ("acquisition of
+/// Foreign systems deliver straight into the sink ("acquisition of
 /// streams of data by push").
 class PushEventSource {
  public:

@@ -262,7 +262,7 @@ Status Database::DropTable(const std::string& name) {
   tables_.erase(it);
   // Drop triggers bound to the table.
   for (auto t = triggers_.begin(); t != triggers_.end();) {
-    if (t->second.table == name) {
+    if (t->second->table == name) {
       t = triggers_.erase(t);
     } else {
       ++t;
@@ -328,19 +328,20 @@ Status Database::CreateIndex(const std::string& table,
 
 Status Database::FireTriggers(TriggerTiming timing, TriggerEvent* event) {
   // Snapshot matching triggers under the lock, fire without it so
-  // actions may call back into this Database.
-  std::vector<const TriggerDef*> to_fire;
+  // actions may call back into this Database. The snapshot shares
+  // ownership, so a trigger dropped meanwhile stays alive until fired.
+  std::vector<std::shared_ptr<const TriggerDef>> to_fire;
   {
     std::shared_lock lock(mu_);
     for (const auto& [name, def] : triggers_) {
-      if (!def.enabled || def.timing != timing ||
-          def.table != event->table_name || (def.ops & event->op) == 0) {
+      if (!def->enabled || def->timing != timing ||
+          def->table != event->table_name || (def->ops & event->op) == 0) {
         continue;
       }
-      to_fire.push_back(&def);
+      to_fire.push_back(def);
     }
   }
-  for (const TriggerDef* def : to_fire) {
+  for (const std::shared_ptr<const TriggerDef>& def : to_fire) {
     if (def->when.has_value()) {
       TriggerRowView view(*event);
       auto matches = def->when->Matches(view);
@@ -821,7 +822,9 @@ Status Database::CreateTrigger(TriggerDef def) {
   if ((def.ops & (kDmlInsert | kDmlUpdate | kDmlDelete)) == 0) {
     return Status::InvalidArgument("trigger subscribes to no operations");
   }
-  triggers_.emplace(def.name, std::move(def));
+  std::string name = def.name;
+  triggers_.emplace(std::move(name),
+                    std::make_shared<const TriggerDef>(std::move(def)));
   return Status::OK();
 }
 
@@ -839,7 +842,10 @@ Status Database::SetTriggerEnabled(const std::string& name, bool enabled) {
   if (it == triggers_.end()) {
     return Status::NotFound("trigger '" + name + "'");
   }
-  it->second.enabled = enabled;
+  // Swap in a modified copy: the old def may be mid-fire in a snapshot.
+  auto updated = std::make_shared<TriggerDef>(*it->second);
+  updated->enabled = enabled;
+  it->second = std::move(updated);
   return Status::OK();
 }
 

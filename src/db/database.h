@@ -196,7 +196,9 @@ class Database {
   std::map<TableId, Table*> tables_by_id_;
   TableId next_table_id_ = 1;
   TxnId next_txn_id_ = 1;
-  std::map<std::string, TriggerDef> triggers_;
+  /// shared_ptr so FireTriggers can snapshot the defs it fires: a
+  /// concurrent DropTrigger/DropTable frees only the map's reference.
+  std::map<std::string, std::shared_ptr<const TriggerDef>> triggers_;
   uint64_t checkpoint_seq_ = 0;
   bool recovering_ = false;
 };

@@ -456,12 +456,11 @@ std::vector<std::string> QueueManager::EffectiveGroups(
 }
 
 Result<Record> QueueManager::BuildMessageRecord(
-    const std::string& queue, const EnqueueRequest& request,
-    WallMicros now) const {
-  EDADB_ASSIGN_OR_RETURN(Table * msgs, db_->GetTable(MsgTableName(queue)));
+    const SchemaPtr& schema, const EnqueueRequest& request,
+    WallMicros now) {
   std::string attrs;
   EncodeAttributes(request.attributes, &attrs);
-  return RecordBuilder(msgs->schema())
+  return RecordBuilder(schema)
       .SetTimestamp("enqueue_time", now.micros())
       .SetTimestamp("visible_at", (now + request.delay_micros).micros())
       .SetTimestamp("expires_at",
@@ -562,20 +561,27 @@ Result<MessageId> QueueManager::EnqueueInTransaction(
     Transaction* txn, const std::string& queue,
     const EnqueueRequest& request) {
   std::vector<std::string> groups;
+  SchemaPtr msg_schema;
+  SchemaPtr dlv_schema;
   {
+    // The schemas are copied under mu_: DropQueue holds it across
+    // DropTable, so a concurrent drop cannot free a table mid-read.
     RecursiveMutexLock lock(&mu_);
     auto it = queues_.find(queue);
     if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
     groups = EffectiveGroups(it->second);
+    EDADB_ASSIGN_OR_RETURN(Table * msgs, db_->GetTable(MsgTableName(queue)));
+    EDADB_ASSIGN_OR_RETURN(Table * dlv, db_->GetTable(DelivTableName(queue)));
+    msg_schema = msgs->schema();
+    dlv_schema = dlv->schema();
   }
   const WallMicros now = clock_->WallNow();
   EDADB_ASSIGN_OR_RETURN(Record msg_row,
-                         BuildMessageRecord(queue, request, now));
+                         BuildMessageRecord(msg_schema, request, now));
   EDADB_ASSIGN_OR_RETURN(MessageId id,
                          txn->Insert(MsgTableName(queue), std::move(msg_row)));
-  EDADB_ASSIGN_OR_RETURN(Table * dlv, db_->GetTable(DelivTableName(queue)));
   for (const std::string& group : groups) {
-    Record dlv_row = *RecordBuilder(dlv->schema())
+    Record dlv_row = *RecordBuilder(dlv_schema)
                           .SetString("grp", group)
                           .SetInt64("msg_id", static_cast<int64_t>(id))
                           .SetTimestamp("visible_at",

@@ -244,9 +244,9 @@ class QueueManager : public QueueService {
   void OnDeliveryInserted(const std::string& queue, RowId deliv_row,
                           const Record& row);
 
-  EDADB_NODISCARD Result<Record> BuildMessageRecord(const std::string& queue,
-                                    const EnqueueRequest& request,
-                                    WallMicros now) const;
+  EDADB_NODISCARD static Result<Record> BuildMessageRecord(
+      const SchemaPtr& schema, const EnqueueRequest& request,
+      WallMicros now);
 
   /// Shared implementation behind Enqueue and EnqueueBatch (pointer +
   /// count instead of a vector so the single-message wrapper needs no

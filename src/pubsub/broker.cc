@@ -342,19 +342,10 @@ Status Broker::DeliverTo(const SubscriptionState& sub,
 Status Broker::InvokeHandler(const SubscriptionState& sub,
                              const Publication& pub) {
   if (sub.spec.handler == nullptr) return Status::OK();
-  try {
-    sub.spec.handler(pub);
-  } catch (const std::exception& e) {
-    HandlerErrorsCounter()->Add(1);
-    return Status::Internal("handler for subscriber '" +
-                            sub.spec.subscriber + "' threw: " + e.what());
-  } catch (...) {
-    HandlerErrorsCounter()->Add(1);
-    return Status::Internal("handler for subscriber '" +
-                            sub.spec.subscriber +
-                            "' threw a non-std::exception");
-  }
-  return Status::OK();
+  Status s = InvokeCatching("handler for subscriber", sub.spec.subscriber,
+                            [&] { sub.spec.handler(pub); });
+  if (!s.ok()) HandlerErrorsCounter()->Add(1);
+  return s;
 }
 
 Result<size_t> Broker::Publish(const Publication& pub) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace edadb {
 
 namespace {
@@ -15,6 +17,12 @@ metrics::Counter* EvaluatedCounter() {
 metrics::Counter* MatchedCounter() {
   static metrics::Counter* const c =
       metrics::Registry::Default()->GetCounter("rules.matched");
+  return c;
+}
+
+metrics::Counter* HandlerErrorsCounter() {
+  static metrics::Counter* const c =
+      metrics::Registry::Default()->GetCounter("rules.handler_errors");
   return c;
 }
 
@@ -229,18 +237,21 @@ void RulesEngine::RegisterDefaultHandler(ActionHandler handler) {
 Result<std::vector<std::string>> RulesEngine::Evaluate(
     const RowAccessor& event) {
   const std::vector<const RowAccessor*> one = {&event};
-  EDADB_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> ids,
+  EDADB_ASSIGN_OR_RETURN(std::vector<std::vector<Rule>> matched,
                          EvaluateBatch(one));
-  return std::move(ids.front());
+  std::vector<std::string> ids;
+  ids.reserve(matched.front().size());
+  for (Rule& rule : matched.front()) ids.push_back(std::move(rule.id));
+  return ids;
 }
 
-Result<std::vector<std::vector<std::string>>> RulesEngine::EvaluateBatch(
+Result<std::vector<std::vector<Rule>>> RulesEngine::EvaluateBatch(
     const std::vector<const RowAccessor*>& events) {
   // Per event: the matched rules (copied) and their bound handlers, so
   // dispatch runs outside mu_ — handlers may re-enter the engine
   // (AddRule from a handler) or block without stalling other callers.
-  std::vector<std::vector<std::pair<Rule, ActionHandler>>> dispatch;
-  dispatch.resize(events.size());
+  std::vector<std::vector<Rule>> rules(events.size());
+  std::vector<std::vector<ActionHandler>> handlers(events.size());
   EvaluatedCounter()->Add(events.size());
   // Scope covers matching only, not handler dispatch — handlers run
   // arbitrary user code and would swamp the match signal.
@@ -258,30 +269,33 @@ Result<std::vector<std::vector<std::string>>> RulesEngine::EvaluateBatch(
                   }
                   return a->id < b->id;
                 });
-      dispatch[i].reserve(event_matches.size());
+      rules[i].reserve(event_matches.size());
+      handlers[i].reserve(event_matches.size());
       for (const Rule* rule : event_matches) {
         auto it = handlers_.find(rule->action);
-        ActionHandler handler =
-            it != handlers_.end() ? it->second : default_handler_;
-        dispatch[i].emplace_back(*rule, std::move(handler));
+        rules[i].push_back(*rule);
+        handlers[i].push_back(it != handlers_.end() ? it->second
+                                                    : default_handler_);
       }
     }
   }
-  std::vector<std::vector<std::string>> ids;
-  ids.resize(events.size());
   size_t total_matched = 0;
-  for (const auto& event_dispatch : dispatch) {
-    total_matched += event_dispatch.size();
-  }
+  for (const auto& event_rules : rules) total_matched += event_rules.size();
   MatchedCounter()->Add(total_matched);
-  for (size_t i = 0; i < dispatch.size(); ++i) {
-    ids[i].reserve(dispatch[i].size());
-    for (auto& [rule, handler] : dispatch[i]) {
-      ids[i].push_back(rule.id);
-      if (handler != nullptr) handler(rule, *events[i]);
+  for (size_t i = 0; i < rules.size(); ++i) {
+    for (size_t j = 0; j < rules[i].size(); ++j) {
+      const ActionHandler& handler = handlers[i][j];
+      if (handler == nullptr) continue;
+      const Rule& rule = rules[i][j];
+      const Status s = InvokeCatching("handler for rule", rule.id,
+                                      [&] { handler(rule, *events[i]); });
+      if (!s.ok()) {
+        HandlerErrorsCounter()->Add(1);
+        EDADB_LOG(Warn) << s;
+      }
     }
   }
-  return ids;
+  return rules;
 }
 
 }  // namespace edadb

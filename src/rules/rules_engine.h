@@ -50,7 +50,9 @@ class RulesEngine {
   /// Copy of a compiled rule, or nullopt when unknown.
   std::optional<Rule> FindRule(const std::string& id) const;
 
-  /// Called for each matched rule, highest priority first.
+  /// Called for each matched rule, highest priority first. A handler
+  /// that throws is contained: the failure is logged and counted as
+  /// rules.handler_errors, and dispatch goes on with the next match.
   using ActionHandler =
       std::function<void(const Rule& rule, const RowAccessor& event)>;
 
@@ -68,10 +70,11 @@ class RulesEngine {
 
   /// Batch form: matches every event under ONE engine lock (one matcher
   /// traversal state amortized across the batch), then dispatches
-  /// handlers outside the lock in event order. `result[i]` holds the
-  /// matched rule ids for `*events[i]` in dispatch order, exactly as
-  /// Evaluate would return them.
-  EDADB_NODISCARD Result<std::vector<std::vector<std::string>>> EvaluateBatch(
+  /// handlers outside the lock in event order. `result[i]` holds copies
+  /// of the rules `*events[i]` matched, in dispatch order, as they stood
+  /// when the batch was matched: a handler that removes or replaces a
+  /// rule mid-batch changes later batches, not this result.
+  EDADB_NODISCARD Result<std::vector<std::vector<Rule>>> EvaluateBatch(
       const std::vector<const RowAccessor*>& events);
 
  private:

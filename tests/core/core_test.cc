@@ -1,5 +1,4 @@
 #include "core/event.h"
-#include "core/event_bus.h"
 #include "core/monitor.h"
 #include "core/responder.h"
 #include "core/virt.h"
@@ -45,42 +44,6 @@ TEST(EventTest, IdsAreUnique) {
   const uint64_t a = NextEventId();
   const uint64_t b = NextEventId();
   EXPECT_NE(a, b);
-}
-
-TEST(EventBusTest, FanoutAndFilters) {
-  EventBus bus;
-  int all = 0;
-  int severe = 0;
-  const uint64_t h1 = *bus.Subscribe([&](const Event&) { ++all; });
-  ASSERT_OK(bus.Subscribe([&](const Event&) { ++severe; },
-                          "severity >= 5"));
-  EXPECT_EQ(bus.Publish(MakeEvent("a", 3)), 1u);
-  EXPECT_EQ(bus.Publish(MakeEvent("a", 8)), 2u);
-  EXPECT_EQ(all, 2);
-  EXPECT_EQ(severe, 1);
-  ASSERT_OK(bus.Unsubscribe(h1));
-  EXPECT_TRUE(bus.Unsubscribe(h1).IsNotFound());
-  EXPECT_EQ(bus.Publish(MakeEvent("a", 9)), 1u);
-  EXPECT_EQ(bus.num_subscribers(), 1u);
-  EXPECT_EQ(bus.published_count(), 3u);
-}
-
-TEST(EventBusTest, BadFilterRejected) {
-  EventBus bus;
-  EXPECT_FALSE(bus.Subscribe([](const Event&) {}, "bad >>> filter").ok());
-}
-
-TEST(EventBusTest, HandlersMaySubscribeReentrantly) {
-  EventBus bus;
-  int late_hits = 0;
-  ASSERT_OK(bus.Subscribe([&](const Event&) {
-    EDADB_IGNORE_STATUS(
-        bus.Subscribe([&](const Event&) { ++late_hits; }),
-        "test only cares that the late subscriber misses this event");
-  }));
-  bus.Publish(MakeEvent("a", 1));
-  bus.Publish(MakeEvent("a", 1));
-  EXPECT_EQ(late_hits, 1);  // Subscriber added during first publish.
 }
 
 // ---------------------------------------------------------------------------

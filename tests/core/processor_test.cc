@@ -1,5 +1,7 @@
 #include "core/processor.h"
 
+#include <stdexcept>
+
 #include "common/failpoint.h"
 #include "core/sources.h"
 #include "gtest/gtest.h"
@@ -131,12 +133,60 @@ TEST_F(ProcessorTest, PumpOnceDrivesPropagationAndDispatch) {
   EXPECT_EQ(*processor_->PumpOnce(), 0u);  // Drained.
 }
 
-TEST_F(ProcessorTest, BusSubscribersSeeIngestedEvents) {
-  int seen = 0;
-  ASSERT_OK(processor_->bus()->Subscribe([&](const Event&) { ++seen; }));
-  ASSERT_OK(processor_->Ingest(MakeEvent("x", 1)));
-  ASSERT_OK(processor_->Ingest(MakeEvent("y", 2)));
-  EXPECT_EQ(seen, 2);
+// A throwing action handler is contained by the rules engine (counted
+// as rules.handler_errors): IngestBatch still stages the queue route of
+// every event in the batch, including the one whose handler threw.
+TEST_F(ProcessorTest, ThrowingHandlerStillRoutesTheWholeBatch) {
+  metrics::Counter* errors =
+      metrics::Registry::Default()->GetCounter("rules.handler_errors");
+  const uint64_t errors_before = errors->Value();
+  ASSERT_OK(processor_->queues()->CreateQueue("alerts"));
+  ASSERT_OK(processor_->rules()->AddRule("crit", "severity >= 7",
+                                         "queue:alerts"));
+  ASSERT_OK(processor_->rules()->AddRule("page", "severity >= 7", "page"));
+  int calls = 0;
+  processor_->rules()->RegisterActionHandler(
+      "page", [&](const Rule&, const RowAccessor&) {
+        if (calls++ == 0) throw std::runtime_error("pager down");
+      });
+
+  std::vector<Event> batch;
+  for (int i = 0; i < 3; ++i) batch.push_back(MakeEvent("reading", 9));
+  ASSERT_OK(processor_->IngestBatch(std::move(batch)));
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(errors->Value() - errors_before, 1u);
+  EXPECT_EQ(*processor_->queues()->Depth("alerts", ""), 3u);
+  EXPECT_EQ(processor_->GetStats().routed_to_queues, 3u);
+}
+
+// Each event is routed by the version of the rule it matched. A handler
+// that replaces rule `crit` mid-batch redirects later batches, not the
+// events already matched against the old version.
+TEST_F(ProcessorTest, RoutesByTheRuleVersionEachEventMatched) {
+  ASSERT_OK(processor_->queues()->CreateQueue("alerts"));
+  ASSERT_OK(processor_->queues()->CreateQueue("other"));
+  RulesEngine* rules = processor_->rules();
+  ASSERT_OK(rules->AddRule("crit", "severity >= 7", "queue:alerts"));
+  ASSERT_OK(rules->AddRule("swap", "severity >= 7", "swap"));
+  bool replaced = false;
+  rules->RegisterActionHandler("swap", [&](const Rule&, const RowAccessor&) {
+    if (replaced) return;
+    replaced = true;
+    EXPECT_OK(rules->RemoveRule("crit"));
+    EXPECT_OK(rules->AddRule("crit", "severity >= 7", "queue:other"));
+  });
+
+  std::vector<Event> batch;
+  batch.push_back(MakeEvent("reading", 9));
+  batch.push_back(MakeEvent("reading", 8));
+  ASSERT_OK(processor_->IngestBatch(std::move(batch)));
+  EXPECT_TRUE(replaced);
+  EXPECT_EQ(*processor_->queues()->Depth("alerts", ""), 2u);
+  EXPECT_EQ(*processor_->queues()->Depth("other", ""), 0u);
+
+  ASSERT_OK(processor_->Ingest(MakeEvent("reading", 9)));
+  EXPECT_EQ(*processor_->queues()->Depth("alerts", ""), 2u);
+  EXPECT_EQ(*processor_->queues()->Depth("other", ""), 1u);
 }
 
 TEST_F(ProcessorTest, AttachedCapturesFeedThePipeline) {

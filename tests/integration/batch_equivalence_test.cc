@@ -4,8 +4,8 @@
 // through EnqueueBatch/PublishBatch/IngestBatch — and must end in the
 // same state: same queue contents and message ids, same rule-match
 // sequence, same per-subscriber delivery order, same drain order.
-// (The one intended difference: within an ingest batch, every bus
-// delivery happens before any rule routing, so cross-channel
+// (The one intended difference: within an ingest batch, every rule
+// handler runs before any action routing, so cross-channel
 // interleaving is not compared — per-channel sequences are.)
 
 #include <memory>
@@ -138,13 +138,12 @@ TEST(BatchEquivalenceTest, DequeueBatchMatchesDequeueLoop) {
 
 // ---------------------------------------------------------------------
 // Pipeline level: Ingest loop vs IngestBatch through a full processor
-// (bus + rules + queue routing).
+// (rules + queue routing).
 
 struct PipelineStack {
   TempDir dir;
   SimulatedClock clock;
   std::unique_ptr<EventProcessor> processor;
-  std::vector<std::string> bus_types;       // Bus delivery sequence.
   std::vector<std::string> matched_rules;   // Rule dispatch sequence.
 
   PipelineStack() {
@@ -163,11 +162,6 @@ struct PipelineStack {
         [this](const Rule& rule, const RowAccessor&) {
           matched_rules.push_back(rule.id);
         });
-    EXPECT_OK(processor->bus()
-                  ->Subscribe([this](const Event& event) {
-                    bus_types.push_back(event.type);
-                  })
-                  .status());
   }
 
   std::vector<std::string> DrainAlerts() {
@@ -210,7 +204,6 @@ TEST(BatchEquivalenceTest, IngestBatchMatchesIngestLoop) {
     ASSERT_OK(batch_stack.processor->IngestBatch(std::move(events)));
   }
 
-  EXPECT_EQ(loop_stack.bus_types, batch_stack.bus_types);
   EXPECT_EQ(loop_stack.matched_rules, batch_stack.matched_rules);
   EXPECT_EQ(loop_stack.DrainAlerts(), batch_stack.DrainAlerts());
 

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <thread>
 
-#include "core/event_bus.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
 #include "rules/rules_engine.h"
@@ -186,26 +185,6 @@ TEST(ConcurrencyTest, RulesEngineConcurrentEvaluateAndMutate) {
   for (auto& t : threads) t.join();
   EXPECT_GT(evaluations.load(), 0u);
   EXPECT_EQ(engine->num_rules(), 50u + 10u);
-}
-
-TEST(ConcurrencyTest, EventBusConcurrentPublishers) {
-  EventBus bus;
-  std::atomic<uint64_t> received{0};
-  ASSERT_TRUE(bus.Subscribe([&](const Event&) {
-    received.fetch_add(1);
-  }).ok());
-  std::vector<std::thread> publishers;
-  for (int p = 0; p < 4; ++p) {
-    publishers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        Event event;
-        event.type = "x";
-        bus.Publish(event);
-      }
-    });
-  }
-  for (auto& t : publishers) t.join();
-  EXPECT_EQ(received.load(), 2000u);
 }
 
 }  // namespace

@@ -136,10 +136,14 @@ TEST_F(BrokerConcurrencyTest, DurableSubscribersFetchWhilePublishersRace) {
     });
   }
   // Each durable subscriber drains its queue concurrently with the
-  // publishers, then finishes the remainder after they stop.
+  // publishers, then finishes the remainder after they stop. `done` is
+  // read BEFORE the Fetch: an empty Fetch ends the drain only if every
+  // publish had already returned when it started, so a publish landing
+  // between the Fetch and the check is still drained.
   for (int d = 0; d < kDurables; ++d) {
     threads.emplace_back([&, d] {
       while (true) {
+        const bool publishers_done = done.load();
         auto fetched = broker_->Fetch(sub_ids[d]);
         if (!fetched.ok()) {
           failures.fetch_add(1);
@@ -147,7 +151,7 @@ TEST_F(BrokerConcurrencyTest, DurableSubscribersFetchWhilePublishersRace) {
         }
         if (fetched->has_value()) {
           drained[d].fetch_add(1);
-        } else if (done.load()) {
+        } else if (publishers_done) {
           return;
         } else {
           std::this_thread::yield();
