@@ -142,7 +142,7 @@ void BM_IngestNoMatch(benchmark::State& state) {
 BENCHMARK(BM_IngestNoMatch)->Unit(benchmark::kMicrosecond);
 
 /// Batch ingest sweep: IngestBatch(N) amortizes the matcher lock over N
-/// events (routing transactions stay per-event). Compare against
+/// events (nothing matches here, so no routing runs). Compare against
 /// BM_IngestNoMatch for the N=1 tax.
 void BM_IngestBatch(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));

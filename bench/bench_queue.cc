@@ -274,9 +274,42 @@ BENCHMARK(BM_ShardedEnqueueBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+/// Drains a backlog of range(0) messages one Dequeue + Ack at a time,
+/// topping it back up (untimed) whenever half of it is gone, so the
+/// depth stays between range(0)/2 and range(0). A dequeue must not pay
+/// for the messages behind the one it takes: the cost per message
+/// should stay flat across depths.
+void BM_DrainBacklog(benchmark::State& state) {
+  const size_t depth = static_cast<size_t>(state.range(0));
+  QueueFixture fx;
+  EnqueueRequest request;
+  request.payload = "backlog";
+  const std::vector<EnqueueRequest> chunk(depth / 2, request);
+  for (int half = 0; half < 2; ++half) {
+    if (!fx.queues->EnqueueBatch("bench", chunk).ok()) std::abort();
+  }
+  DequeueRequest dq;
+  size_t level = depth;
+  for (auto _ : state) {
+    if (level == depth / 2) {
+      state.PauseTiming();
+      if (!fx.queues->EnqueueBatch("bench", chunk).ok()) std::abort();
+      level = depth;
+      state.ResumeTiming();
+    }
+    auto message = fx.queues->Dequeue("bench", dq);
+    if (!message.ok() || !message->has_value()) std::abort();
+    if (!fx.queues->Ack("bench", "", (*message)->id).ok()) std::abort();
+    --level;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["depth"] = static_cast<double>(depth);
+}
+BENCHMARK(BM_DrainBacklog)->Arg(1000)->Arg(10000)->Arg(40000)
+    ->Unit(benchmark::kMicrosecond);
+
 /// DequeueBatch draining a pre-filled backlog `batch` messages at a
-/// time (locks persisted per message; the win is lock amortization on
-/// the scan, not the WAL).
+/// time (all of a batch's locks persist in one transaction).
 void BM_DequeueBatch(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   QueueFixture fx;

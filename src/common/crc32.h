@@ -6,9 +6,10 @@
 
 namespace edadb {
 
-/// CRC-32C (Castagnoli), software table implementation. Used to checksum
-/// write-ahead-log records so torn or corrupted tails are detected on
-/// recovery.
+/// CRC-32C (Castagnoli). Used to checksum write-ahead-log records so
+/// torn or corrupted tails are detected on recovery. On x86-64 CPUs
+/// with SSE4.2 the `crc32` instruction computes it; elsewhere a
+/// byte-at-a-time table does.
 uint32_t Crc32c(std::string_view data);
 
 /// Extends a running CRC with more data.
@@ -23,6 +24,17 @@ inline uint32_t UnmaskCrc(uint32_t masked) {
   const uint32_t rot = masked - 0xa282ead8u;
   return (rot >> 17) | (rot << 15);
 }
+
+namespace crc32c_internal {
+
+/// The two implementations behind Crc32cExtend, exposed so tests can
+/// hold them to the same answers. ExtendHardware may only be called
+/// when HardwareAvailable() is true.
+uint32_t ExtendTable(uint32_t crc, std::string_view data);
+uint32_t ExtendHardware(uint32_t crc, std::string_view data);
+bool HardwareAvailable();
+
+}  // namespace crc32c_internal
 
 }  // namespace edadb
 

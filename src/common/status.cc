@@ -50,6 +50,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "TimedOut";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kDurabilityUnknown:
+      return "DurabilityUnknown";
   }
   return "Unknown";
 }

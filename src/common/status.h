@@ -29,6 +29,9 @@ enum class StatusCode {
   kAborted = 10,
   kTimedOut = 11,
   kInternal = 12,
+  /// The commit was applied (readers see it) but its WAL sync failed:
+  /// it may or may not survive a crash. Never a rollback.
+  kDurabilityUnknown = 13,
 };
 
 /// Returns a stable human-readable name ("NotFound", ...) for a code.
@@ -186,6 +189,11 @@ class EDADB_NODISCARD Status {
       std::source_location loc = std::source_location::current()) {
     return Status(StatusCode::kInternal, std::move(msg), loc);
   }
+  static Status DurabilityUnknown(
+      std::string msg,
+      std::source_location loc = std::source_location::current()) {
+    return Status(StatusCode::kDurabilityUnknown, std::move(msg), loc);
+  }
 
   bool ok() const {
     MarkExamined();
@@ -218,6 +226,9 @@ class EDADB_NODISCARD Status {
   bool IsAborted() const { return code() == StatusCode::kAborted; }
   bool IsTimedOut() const { return code() == StatusCode::kTimedOut; }
   bool IsInternal() const { return code() == StatusCode::kInternal; }
+  bool IsDurabilityUnknown() const {
+    return code() == StatusCode::kDurabilityUnknown;
+  }
 
   /// "OK" or "<Code>: <message>".
   std::string ToString() const;

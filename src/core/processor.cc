@@ -70,46 +70,13 @@ Result<std::unique_ptr<EventProcessor>> EventProcessor::Open(
             emit("core.dispatched_to_responders",
                  raw->dispatched_to_responders_.Value());
             emit("core.ingest_failures", raw->ingest_failures_.Value());
+            emit("core.route_failures", raw->route_failures_.Value());
           });
   return processor;
 }
 
 void EventProcessor::RouteAction(const Rule& rule, const Event& event) {
   const std::string& action = rule.action;
-  if (StartsWith(action, "queue:")) {
-    const std::string queue = action.substr(6);
-    EnqueueRequest request;
-    request.payload = event.payload;
-    request.attributes = event.attributes;
-    request.attributes.emplace_back("event_type", Value::String(event.type));
-    request.attributes.emplace_back("event_source",
-                                    Value::String(event.source));
-    request.attributes.emplace_back("matched_rule",
-                                    Value::String(rule.id));
-    request.correlation_id = std::to_string(event.id);
-    if (!queues_->HasQueue(queue)) {
-      const Status s = queues_->CreateQueue(queue);
-      if (!s.ok() && !s.IsAlreadyExists()) {
-        EDADB_LOG(Warn) << "route to queue '" << queue << "' failed: " << s;
-        return;
-      }
-    }
-    const auto enqueued = queues_->Enqueue(queue, request);
-    if (enqueued.ok()) {
-      routed_to_queues_.Add(1);
-      if (options_.audit_routing) {
-        EDADB_IGNORE_STATUS(
-            audit_->Append("processor", "route.queue", queue,
-                           "rule=" + rule.id + " event=" +
-                               std::to_string(event.id)),
-            "audit trail is best-effort; the routing itself succeeded");
-      }
-    } else {
-      EDADB_LOG(Warn) << "enqueue to '" << queue
-                      << "' failed: " << enqueued.status();
-    }
-    return;
-  }
   if (StartsWith(action, "topic:")) {
     Publication pub;
     pub.topic = action.substr(6);
@@ -188,13 +155,86 @@ Status EventProcessor::IngestBatch(std::vector<Event> events) {
   for (const EventView& view : views) accessors.push_back(&view);
   EDADB_ASSIGN_OR_RETURN(std::vector<std::vector<Rule>> matched,
                          rules_->EvaluateBatch(accessors));
+  // Queue routes collect per destination, in event order; topic and
+  // responder routes go out as they come.
+  std::vector<QueueRoutes> staging;
   for (size_t i = 0; i < events.size(); ++i) {
     rules_matched_.Add(matched[i].size());
     for (const Rule& rule : matched[i]) {
-      if (!rule.action.empty()) RouteAction(rule, events[i]);
+      if (!StartsWith(rule.action, "queue:")) {
+        if (!rule.action.empty()) RouteAction(rule, events[i]);
+        continue;
+      }
+      const std::string_view queue = std::string_view(rule.action).substr(6);
+      auto group = std::find_if(
+          staging.begin(), staging.end(),
+          [queue](const QueueRoutes& routes) { return routes.queue == queue; });
+      if (group == staging.end()) {
+        group = staging.insert(staging.end(),
+                               QueueRoutes{std::string(queue), {}, {}});
+      }
+      const Event& event = events[i];
+      EnqueueRequest request;
+      request.payload = event.payload;
+      request.attributes = event.attributes;
+      request.attributes.emplace_back("event_type", Value::String(event.type));
+      request.attributes.emplace_back("event_source",
+                                      Value::String(event.source));
+      request.attributes.emplace_back("matched_rule", Value::String(rule.id));
+      request.correlation_id = std::to_string(event.id);
+      group->requests.push_back(std::move(request));
+      group->routed.emplace_back(&rule, &event);
     }
   }
-  return Status::OK();
+  // Every destination is tried; the first failure is what the caller
+  // sees.
+  Status first_failure;
+  for (const QueueRoutes& routes : staging) {
+    Status staged = StageQueueRoutes(routes);
+    if (!staged.ok() && first_failure.ok()) first_failure = std::move(staged);
+  }
+  return first_failure;
+}
+
+Status EventProcessor::StageQueueRoutes(const QueueRoutes& routes) {
+  const size_t n = routes.requests.size();
+  if (!queues_->HasQueue(routes.queue)) {
+    const Status created = queues_->CreateQueue(routes.queue);
+    if (!created.ok() && !created.IsAlreadyExists()) {
+      route_failures_.Add(n);
+      EDADB_LOG(Warn) << "route to queue '" << routes.queue
+                      << "' failed: " << created;
+      return created;
+    }
+  }
+  // One transaction for the whole group; when it fails without
+  // applying, stage event by event so a poisoned event fails alone. A
+  // group that applied (DurabilityUnknown) is never staged again.
+  const auto staged = queues_->EnqueueBatch(routes.queue, routes.requests);
+  const bool retry = n > 1 && !CommitApplied(staged.status());
+  Status first_failure;
+  for (size_t i = 0; i < n; ++i) {
+    Status s =
+        retry ? queues_->Enqueue(routes.queue, routes.requests[i]).status()
+              : staged.status();
+    const auto& [rule, event] = routes.routed[i];
+    if (!s.ok()) {
+      route_failures_.Add(1);
+      EDADB_LOG(Warn) << "enqueue of event " << event->id << " to '"
+                      << routes.queue << "' failed: " << s;
+      if (first_failure.ok()) first_failure = std::move(s);
+      continue;
+    }
+    routed_to_queues_.Add(1);
+    if (options_.audit_routing) {
+      EDADB_IGNORE_STATUS(
+          audit_->Append("processor", "route.queue", routes.queue,
+                         "rule=" + rule->id + " event=" +
+                             std::to_string(event->id)),
+          "audit trail is best-effort; the routing itself succeeded");
+    }
+  }
+  return first_failure;
 }
 
 void EventProcessor::IngestFromSource(const Event& event) {
@@ -276,6 +316,7 @@ EventProcessor::Stats EventProcessor::GetStats() const {
   stats.routed_to_topics = routed_to_topics_.Value();
   stats.dispatched_to_responders = dispatched_to_responders_.Value();
   stats.ingest_failures = ingest_failures_.Value();
+  stats.route_failures = route_failures_.Value();
   return stats;
 }
 

@@ -75,13 +75,21 @@ class EventProcessor {
   EDADB_NODISCARD Status Ingest(Event event);
 
   /// Batch ingest: normalizes every event, evaluates all events against
-  /// the rule set in one matcher pass, then routes matched actions per
-  /// event in order. Routing side effects (queue enqueues, topic
-  /// publishes) keep per-event transactions — a poisoned event fails
-  /// alone — but concurrent batches share WAL fdatasyncs via group
-  /// commit. Within a batch, every handler registered on rules() runs
-  /// before any action routing (per-channel order is unchanged from the
-  /// per-event loop).
+  /// the rule set in one matcher pass, then routes the matched actions.
+  /// Queue routes are staged per destination queue: each queue's events
+  /// go in one EnqueueBatch, in event order — one transaction and one
+  /// WAL barrier per destination, not per event. A group whose commit
+  /// fails without applying is re-staged event by event, so a poisoned
+  /// event fails alone; a group that applied but failed its WAL sync
+  /// (DurabilityUnknown) is never staged twice. Topic publishes and
+  /// responder dispatches stay per event.
+  /// Within a batch, every handler registered on rules() runs before
+  /// any action routing, and topic routes go out before queue staging
+  /// (per-channel order is unchanged from the per-event loop).
+  ///
+  /// Every destination is tried. Returns OK only when every queue route
+  /// was staged; otherwise the first staging error, with each failed
+  /// route counted in Stats::route_failures (core.route_failures).
   EDADB_NODISCARD Status IngestBatch(std::vector<Event> events);
 
   /// One scheduler tick: polls attached journal/query capture sources,
@@ -132,12 +140,29 @@ class EventProcessor {
     /// is lost to routing; the failure is logged and counted here so
     /// it is observable instead of silently dropped.
     uint64_t ingest_failures = 0;
+    /// Queue routes (event × matched queue rule) that could not be
+    /// staged; IngestBatch reported the first of them to its caller.
+    uint64_t route_failures = 0;
   };
   Stats GetStats() const;
 
  private:
   explicit EventProcessor(EventProcessorOptions options);
 
+  /// One destination queue's share of an IngestBatch: a request per
+  /// routed event, in event order, with the rule and event behind it.
+  struct QueueRoutes {
+    std::string queue;
+    std::vector<EnqueueRequest> requests;
+    std::vector<std::pair<const Rule*, const Event*>> routed;
+  };
+
+  /// Stages one destination's routes (creating the queue on first use);
+  /// returns the first failure after trying every route.
+  EDADB_NODISCARD Status StageQueueRoutes(const QueueRoutes& routes);
+
+  /// Topic and responder routes (queue routes go through
+  /// StageQueueRoutes).
   void RouteAction(const Rule& rule, const Event& event);
   /// Capture-source callback: Ingest() with failures logged + counted
   /// (sources deliver on a void callback, so there is no caller to
@@ -168,6 +193,7 @@ class EventProcessor {
   metrics::Counter routed_to_topics_;
   metrics::Counter dispatched_to_responders_;
   metrics::Counter ingest_failures_;
+  metrics::Counter route_failures_;
 
   /// Throttles __metrics refreshes inside PumpOnce (steady domain).
   std::atomic<TimestampMicros> last_metrics_refresh_steady_{0};

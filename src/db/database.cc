@@ -134,8 +134,8 @@ Status Database::ReplayWal(Lsn from_lsn) {
       case LogRecordType::kCommitTxn: {
         auto it = pending.find(rec.txn_id);
         if (it != pending.end()) {
-          for (const LogRecord& op : it->second) {
-            EDADB_RETURN_IF_ERROR(ApplyLogRecord(op));
+          for (LogRecord& op : it->second) {
+            EDADB_RETURN_IF_ERROR(ApplyLogRecord(std::move(op)));
           }
           pending.erase(it);
         }
@@ -152,7 +152,7 @@ Status Database::ReplayWal(Lsn from_lsn) {
       case LogRecordType::kCreateTable:
       case LogRecordType::kDropTable:
       case LogRecordType::kCreateIndex:
-        EDADB_RETURN_IF_ERROR(ApplyLogRecord(rec));
+        EDADB_RETURN_IF_ERROR(ApplyLogRecord(std::move(rec)));
         break;
       case LogRecordType::kCheckpoint:
         break;  // Informational; recovery starts from the meta file.
@@ -162,7 +162,7 @@ Status Database::ReplayWal(Lsn from_lsn) {
   return Status::OK();
 }
 
-Status Database::ApplyLogRecord(const LogRecord& rec) {
+Status Database::ApplyLogRecord(LogRecord rec) {
   switch (rec.type) {
     case LogRecordType::kCreateTable: {
       if (tables_.count(rec.table_name) > 0) {
@@ -196,14 +196,17 @@ Status Database::ApplyLogRecord(const LogRecord& rec) {
       if (it == tables_by_id_.end()) return Status::OK();  // Table dropped.
       EDADB_ASSIGN_OR_RETURN(
           Record record, DecodeRow(it->second->schema(), rec.new_row));
-      return it->second->ApplyInsert(rec.row_id, record).status();
+      return it->second
+          ->ApplyInsert(rec.row_id, record, std::move(rec.new_row))
+          .status();
     }
     case LogRecordType::kUpdate: {
       auto it = tables_by_id_.find(rec.table_id);
       if (it == tables_by_id_.end()) return Status::OK();
       EDADB_ASSIGN_OR_RETURN(
           Record record, DecodeRow(it->second->schema(), rec.new_row));
-      return it->second->ApplyUpdate(rec.row_id, record);
+      return it->second->ApplyUpdate(rec.row_id, record,
+                                     std::move(rec.new_row));
     }
     case LogRecordType::kDelete: {
       auto it = tables_by_id_.find(rec.table_id);
@@ -371,88 +374,109 @@ Status Database::FireTriggers(TriggerTiming timing, TriggerEvent* event) {
 
 Result<Database::PendingOp> Database::PrepareInsert(const std::string& table,
                                                     Record record) {
-  TableId table_id;
-  RowId row_id;
+  PendingOp op;
+  op.type = LogRecordType::kInsert;
+  op.table_name = table;
+  bool fire_before = false;
   {
     std::unique_lock lock(mu_);
     EDADB_ASSIGN_OR_RETURN(Table * t, GetTableLocked(table));
     EDADB_RETURN_IF_ERROR(t->CheckRecord(record));
-    table_id = t->id();
-    row_id = t->mutable_heap()->AllocateRowId();
+    op.table_id = t->id();
+    op.row_id = t->mutable_heap()->AllocateRowId();
+    fire_before = (t->trigger_mask() &
+                   TriggerMaskBit(TriggerTiming::kBefore, kDmlInsert)) != 0;
   }
-  TriggerEvent event;
-  event.op = kDmlInsert;
-  event.table_name = table;
-  event.table_id = table_id;
-  event.row_id = row_id;
-  event.timestamp = clock_->NowMicros();
-  event.new_row = &record;
-  EDADB_RETURN_IF_ERROR(FireTriggers(TriggerTiming::kBefore, &event));
-  PendingOp op;
-  op.type = LogRecordType::kInsert;
-  op.table_id = table_id;
-  op.table_name = table;
-  op.row_id = row_id;
   op.new_record = std::move(record);
+  if (fire_before) {
+    TriggerEvent event;
+    event.op = kDmlInsert;
+    event.table_name = table;
+    event.table_id = op.table_id;
+    event.row_id = op.row_id;
+    event.timestamp = clock_->NowMicros();
+    event.new_row = &op.new_record;
+    EDADB_RETURN_IF_ERROR(FireTriggers(TriggerTiming::kBefore, &event));
+  }
   return op;
 }
 
 Result<Database::PendingOp> Database::PrepareUpdate(const std::string& table,
                                                     RowId row_id,
                                                     Record record) {
-  TableId table_id;
-  Record old_record;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(table);
-    if (it == tables_.end()) return Status::NotFound("table '" + table + "'");
-    EDADB_RETURN_IF_ERROR(it->second->CheckRecord(record));
-    EDADB_ASSIGN_OR_RETURN(old_record, it->second->GetRow(row_id));
-    table_id = it->second->id();
-  }
-  TriggerEvent event;
-  event.op = kDmlUpdate;
-  event.table_name = table;
-  event.table_id = table_id;
-  event.row_id = row_id;
-  event.timestamp = clock_->NowMicros();
-  event.old_row = &old_record;
-  event.new_row = &record;
-  EDADB_RETURN_IF_ERROR(FireTriggers(TriggerTiming::kBefore, &event));
   PendingOp op;
   op.type = LogRecordType::kUpdate;
-  op.table_id = table_id;
   op.table_name = table;
   op.row_id = row_id;
+  Record old_record;
+  bool fire_before = false;
+  {
+    std::shared_lock lock(mu_);
+    EDADB_ASSIGN_OR_RETURN(const Table* t,
+                           FindRowLocked(table, row_id, kDmlUpdate,
+                                         &old_record, &fire_before));
+    EDADB_RETURN_IF_ERROR(t->CheckRecord(record));
+    op.table_id = t->id();
+  }
   op.new_record = std::move(record);
+  if (fire_before) {
+    TriggerEvent event;
+    event.op = kDmlUpdate;
+    event.table_name = table;
+    event.table_id = op.table_id;
+    event.row_id = row_id;
+    event.timestamp = clock_->NowMicros();
+    event.old_row = &old_record;
+    event.new_row = &op.new_record;
+    EDADB_RETURN_IF_ERROR(FireTriggers(TriggerTiming::kBefore, &event));
+  }
   return op;
 }
 
 Result<Database::PendingOp> Database::PrepareDelete(const std::string& table,
                                                     RowId row_id) {
-  TableId table_id;
-  Record old_record;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(table);
-    if (it == tables_.end()) return Status::NotFound("table '" + table + "'");
-    EDADB_ASSIGN_OR_RETURN(old_record, it->second->GetRow(row_id));
-    table_id = it->second->id();
-  }
-  TriggerEvent event;
-  event.op = kDmlDelete;
-  event.table_name = table;
-  event.table_id = table_id;
-  event.row_id = row_id;
-  event.timestamp = clock_->NowMicros();
-  event.old_row = &old_record;
-  EDADB_RETURN_IF_ERROR(FireTriggers(TriggerTiming::kBefore, &event));
   PendingOp op;
   op.type = LogRecordType::kDelete;
-  op.table_id = table_id;
   op.table_name = table;
   op.row_id = row_id;
+  Record old_record;
+  bool fire_before = false;
+  {
+    std::shared_lock lock(mu_);
+    EDADB_ASSIGN_OR_RETURN(const Table* t,
+                           FindRowLocked(table, row_id, kDmlDelete,
+                                         &old_record, &fire_before));
+    op.table_id = t->id();
+  }
+  if (fire_before) {
+    TriggerEvent event;
+    event.op = kDmlDelete;
+    event.table_name = table;
+    event.table_id = op.table_id;
+    event.row_id = row_id;
+    event.timestamp = clock_->NowMicros();
+    event.old_row = &old_record;
+    EDADB_RETURN_IF_ERROR(FireTriggers(TriggerTiming::kBefore, &event));
+  }
   return op;
+}
+
+Result<const Table*> Database::FindRowLocked(const std::string& table,
+                                             RowId row_id, DmlOp op,
+                                             Record* old_record,
+                                             bool* fire_before) const {
+  auto it = tables_.find(table);
+  if (it == tables_.end()) return Status::NotFound("table '" + table + "'");
+  const Table* t = it->second.get();
+  *fire_before =
+      (t->trigger_mask() & TriggerMaskBit(TriggerTiming::kBefore, op)) != 0;
+  if (*fire_before) {
+    EDADB_ASSIGN_OR_RETURN(*old_record, t->GetRow(row_id));
+  } else if (t->heap().Get(row_id) == nullptr) {
+    return Status::NotFound("row " + std::to_string(row_id) + " in table " +
+                            table);
+  }
+  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -509,64 +533,61 @@ Status Database::CommitOps(std::vector<PendingOp> ops) {
   metrics::LatencyScope latency(CommitLatency());
   CommitOpsHistogram()->Record(ops.size());
 
+  // One per op whose table has an enabled AFTER trigger for that kind
+  // of op; the rest cost nothing here. `op` indexes `ops`, whose
+  // new_record the trigger sees.
   struct AfterEvent {
-    DmlOp op;
-    std::string table_name;
-    TableId table_id;
-    RowId row_id;
+    size_t op;
     Record old_record;
     bool has_old = false;
-    Record new_record;
-    bool has_new = false;
-    TxnId txn_id;
   };
   std::vector<AfterEvent> after_events;
-  after_events.reserve(ops.size());
 
+  TxnId txn = kInvalidTxnId;
   Lsn commit_end_lsn = 0;
+  Status synced;
   {
     std::unique_lock lock(mu_);
     EDADB_RETURN_IF_ERROR(ValidateOps(ops));
     FAILPOINT("db.commit.before_wal");
-    const TxnId txn = next_txn_id_++;
+    txn = next_txn_id_++;
 
     // Frame Begin plus every op as ONE WAL batch — one writer lock
     // round-trip and one file write for the whole transaction. The
     // commit record goes separately so the crash window "ops logged,
     // commit missing" (which recovery must discard) still exists.
-    std::vector<uint8_t> wal_types;
-    std::vector<std::string> wal_payloads;  // Stable buffers for the refs.
-    wal_types.reserve(ops.size() + 1);
-    wal_payloads.reserve(ops.size() + 1);
-
+    // Each row is encoded once: `rows[i]` is logged here and moved
+    // into the heap at apply. Payloads share one buffer; `ends[i]` is
+    // where record i's payload stops.
     LogRecord begin;
     begin.type = LogRecordType::kBeginTxn;
     begin.txn_id = txn;
-    wal_types.push_back(static_cast<uint8_t>(begin.type));
-    wal_payloads.push_back(begin.EncodePayload());
-
-    for (PendingOp& op : ops) {
-      Table* t = tables_by_id_.at(op.table_id);
-      LogRecord rec;
-      rec.type = op.type;
-      rec.txn_id = txn;
-      rec.table_id = op.table_id;
-      rec.row_id = op.row_id;
-      if (op.type == LogRecordType::kInsert ||
-          op.type == LogRecordType::kUpdate) {
-        EncodeRow(op.new_record, &rec.new_row);
+    std::string payloads = begin.EncodePayload();
+    std::vector<size_t> ends;
+    ends.reserve(ops.size() + 1);
+    ends.push_back(payloads.size());
+    std::vector<std::string> rows(ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const PendingOp& op = ops[i];
+      std::string_view old_row;
+      if (op.type != LogRecordType::kInsert) {
+        old_row = *tables_by_id_.at(op.table_id)->heap().Get(op.row_id);
       }
-      if (op.type == LogRecordType::kUpdate ||
-          op.type == LogRecordType::kDelete) {
-        rec.old_row = *t->heap().Get(op.row_id);
-      }
-      wal_types.push_back(static_cast<uint8_t>(rec.type));
-      wal_payloads.push_back(rec.EncodePayload());
+      if (op.type != LogRecordType::kDelete) EncodeRow(op.new_record, &rows[i]);
+      EncodeDmlPayload(op.type, txn, op.table_id, op.row_id, old_row, rows[i],
+                       &payloads);
+      ends.push_back(payloads.size());
     }
     std::vector<WalRecordRef> wal_batch;
-    wal_batch.reserve(wal_payloads.size());
-    for (size_t i = 0; i < wal_payloads.size(); ++i) {
-      wal_batch.push_back({wal_types[i], wal_payloads[i]});
+    wal_batch.reserve(ends.size());
+    size_t payload_start = 0;
+    for (size_t i = 0; i < ends.size(); ++i) {
+      const LogRecordType type = i == 0 ? begin.type : ops[i - 1].type;
+      wal_batch.push_back(
+          {static_cast<uint8_t>(type),
+           std::string_view(payloads).substr(payload_start,
+                                             ends[i] - payload_start)});
+      payload_start = ends[i];
     }
     EDADB_RETURN_IF_ERROR(wal_->AppendBatch(wal_batch).status());
 
@@ -579,35 +600,47 @@ Status Database::CommitOps(std::vector<PendingOp> ops) {
     const std::string commit_payload = commit.EncodePayload();
     const std::vector<WalRecordRef> commit_rec = {
         {static_cast<uint8_t>(commit.type), commit_payload}};
-    EDADB_ASSIGN_OR_RETURN(const WalBatchResult commit_written,
-                           wal_->AppendBatch(commit_rec));
-    commit_end_lsn = commit_written.end_lsn;
-    FAILPOINT("db.commit.before_sync");
+    // An append error after the record landed (the log grew past it, as
+    // when kEveryAppend's own sync fails) leaves a commit recovery keeps:
+    // apply it and report DurabilityUnknown below.
+    const Lsn commit_start = wal_->next_lsn();
+    const Result<WalBatchResult> commit_written =
+        wal_->AppendBatch(commit_rec);
+    if (!commit_written.ok()) {
+      if (wal_->next_lsn() == commit_start) return commit_written.status();
+      synced = commit_written.status();
+    }
+    commit_end_lsn = wal_->next_lsn();
+    // Crash-only sites from here on: past the commit record an early
+    // return would read as a rollback of a transaction recovery keeps.
+    FAILPOINT_HIT("db.commit.before_sync");
 
     // Apply. ValidateOps vetted everything; failures here indicate a
     // programming error and poison the database state.
-    for (PendingOp& op : ops) {
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const PendingOp& op = ops[i];
       Table* t = tables_by_id_.at(op.table_id);
-      AfterEvent ev;
-      ev.op = LogTypeToDmlOp(op.type);
-      ev.table_name = op.table_name;
-      ev.table_id = op.table_id;
-      ev.row_id = op.row_id;
-      ev.txn_id = txn;
-      if (op.type != LogRecordType::kInsert) {
-        auto old_rec = t->GetRow(op.row_id);
-        if (old_rec.ok()) {
-          ev.old_record = *std::move(old_rec);
-          ev.has_old = true;
+      if ((t->trigger_mask() & TriggerMaskBit(TriggerTiming::kAfter,
+                                              LogTypeToDmlOp(op.type))) != 0) {
+        AfterEvent ev;
+        ev.op = i;
+        if (op.type != LogRecordType::kInsert) {
+          auto old_rec = t->GetRow(op.row_id);
+          if (old_rec.ok()) {
+            ev.old_record = *std::move(old_rec);
+            ev.has_old = true;
+          }
         }
+        after_events.push_back(std::move(ev));
       }
       Status s;
       switch (op.type) {
         case LogRecordType::kInsert:
-          s = t->ApplyInsert(op.row_id, op.new_record).status();
+          s = t->ApplyInsert(op.row_id, op.new_record, std::move(rows[i]))
+                  .status();
           break;
         case LogRecordType::kUpdate:
-          s = t->ApplyUpdate(op.row_id, op.new_record);
+          s = t->ApplyUpdate(op.row_id, op.new_record, std::move(rows[i]));
           break;
         case LogRecordType::kDelete:
           s = t->ApplyDelete(op.row_id);
@@ -619,41 +652,45 @@ Status Database::CommitOps(std::vector<PendingOp> ops) {
         return Status::Internal("commit apply failed after WAL write: " +
                                 s.ToString());
       }
-      if (op.type != LogRecordType::kDelete) {
-        ev.new_record = std::move(op.new_record);
-        ev.has_new = true;
-      }
-      after_events.push_back(std::move(ev));
     }
   }
 
   // Group commit: the durability barrier runs OUTSIDE the database
   // lock, so concurrent committers rendezvous in WalWriter::SyncTo and
   // share one fdatasync instead of paying one each (DESIGN.md §10).
-  // Applied state is visible to readers a beat before it is durable;
-  // an error here means durability is unknown, not that the commit was
-  // rolled back.
-  EDADB_RETURN_IF_ERROR(wal_->SyncTo(commit_end_lsn));
-  // The commit record is on disk: a crash from here on must still
-  // surface the transaction after recovery.
-  FAILPOINT("db.commit.after_sync");
-  CommitsCounter()->Add(1);
+  // Applied state is visible to readers a beat before it is durable,
+  // so a sync error is reported as DurabilityUnknown: the commit may or
+  // may not survive a crash, but it was not rolled back.
+  if (synced.ok()) synced = wal_->SyncTo(commit_end_lsn);
+  if (synced.ok()) {
+    // The commit record is on disk: a crash from here on must still
+    // surface the transaction after recovery.
+    FAILPOINT_HIT("db.commit.after_sync");
+    CommitsCounter()->Add(1);
+  }
 
-  // AFTER triggers observe committed state; errors are logged, not
-  // propagated (the change is already durable).
+  // AFTER triggers observe applied state, so state derived from them
+  // (queue runtimes) matches the tables even when the sync failed.
+  // Their errors are logged, not propagated: the change is applied.
   for (AfterEvent& ev : after_events) {
+    PendingOp& op = ops[ev.op];
     TriggerEvent event;
-    event.op = ev.op;
-    event.table_name = ev.table_name;
-    event.table_id = ev.table_id;
-    event.row_id = ev.row_id;
-    event.txn_id = ev.txn_id;
+    event.op = LogTypeToDmlOp(op.type);
+    event.table_name = op.table_name;
+    event.table_id = op.table_id;
+    event.row_id = op.row_id;
+    event.txn_id = txn;
     event.timestamp = clock_->NowMicros();
     event.old_row = ev.has_old ? &ev.old_record : nullptr;
-    event.new_row = ev.has_new ? &ev.new_record : nullptr;
+    event.new_row =
+        op.type != LogRecordType::kDelete ? &op.new_record : nullptr;
     EDADB_IGNORE_STATUS(FireTriggers(TriggerTiming::kAfter, &event),
                         "AFTER-trigger failures are logged inside "
-                        "FireTriggers; the commit is already durable");
+                        "FireTriggers; the commit is already applied");
+  }
+  if (!synced.ok()) {
+    return Status::DurabilityUnknown("commit applied, WAL sync failed: " +
+                                     synced.ToString());
   }
   return Status::OK();
 }
@@ -823,16 +860,22 @@ Status Database::CreateTrigger(TriggerDef def) {
     return Status::InvalidArgument("trigger subscribes to no operations");
   }
   std::string name = def.name;
+  const std::string table = def.table;
   triggers_.emplace(std::move(name),
                     std::make_shared<const TriggerDef>(std::move(def)));
+  RefreshTriggerMaskLocked(table);
   return Status::OK();
 }
 
 Status Database::DropTrigger(const std::string& name) {
   std::unique_lock lock(mu_);
-  if (triggers_.erase(name) == 0) {
+  auto it = triggers_.find(name);
+  if (it == triggers_.end()) {
     return Status::NotFound("trigger '" + name + "'");
   }
+  const std::string table = it->second->table;
+  triggers_.erase(it);
+  RefreshTriggerMaskLocked(table);
   return Status::OK();
 }
 
@@ -846,7 +889,20 @@ Status Database::SetTriggerEnabled(const std::string& name, bool enabled) {
   auto updated = std::make_shared<TriggerDef>(*it->second);
   updated->enabled = enabled;
   it->second = std::move(updated);
+  RefreshTriggerMaskLocked(it->second->table);
   return Status::OK();
+}
+
+void Database::RefreshTriggerMaskLocked(const std::string& table) {
+  auto it = tables_.find(table);
+  if (it == tables_.end()) return;
+  uint8_t mask = 0;
+  for (const auto& [name, def] : triggers_) {
+    if (def->enabled && def->table == table) {
+      mask |= TriggerMaskBit(def->timing, def->ops);
+    }
+  }
+  it->second->set_trigger_mask(mask);
 }
 
 std::vector<std::string> Database::ListTriggers() const {

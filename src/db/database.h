@@ -22,6 +22,13 @@ namespace edadb {
 
 class Transaction;
 
+/// True when a commit's ops reached the tables: it succeeded, or only
+/// its WAL sync failed (DurabilityUnknown). Retrying such a commit
+/// would apply it twice.
+inline bool CommitApplied(const Status& commit) {
+  return commit.ok() || commit.IsDurabilityUnknown();
+}
+
 struct DatabaseOptions {
   std::string dir;
   WalSyncPolicy wal_sync_policy = WalSyncPolicy::kOnCommit;
@@ -169,23 +176,38 @@ class Database {
                                   Record record);
   EDADB_NODISCARD Result<PendingOp> PrepareDelete(const std::string& table, RowId row_id);
 
+  /// Shared by PrepareUpdate/PrepareDelete under a shared lock: the
+  /// table holding `row_id` (NotFound when either is missing). Sets
+  /// `*fire_before` when an enabled BEFORE trigger exists for `op`, and
+  /// only then decodes the old row into `*old_record`.
+  EDADB_NODISCARD Result<const Table*> FindRowLocked(const std::string& table,
+                                                     RowId row_id, DmlOp op,
+                                                     Record* old_record,
+                                                     bool* fire_before) const;
+
   EDADB_NODISCARD Status Recover();
   EDADB_NODISCARD Status LoadSnapshot(const std::string& path);
   EDADB_NODISCARD Status ReplayWal(Lsn from_lsn);
-  EDADB_NODISCARD Status ApplyLogRecord(const LogRecord& rec);
+  EDADB_NODISCARD Status ApplyLogRecord(LogRecord rec);
 
   /// Fires matching triggers for `event`; BEFORE trigger errors abort
   /// the operation.
   EDADB_NODISCARD Status FireTriggers(TriggerTiming timing, TriggerEvent* event);
 
   /// Commit path shared by Transaction and auto-commit DML. Caller does
-  /// NOT hold mu_.
+  /// NOT hold mu_. DurabilityUnknown means the ops were applied but the
+  /// WAL sync failed; any other error, bar an Internal apply failure,
+  /// means nothing was applied.
   EDADB_NODISCARD Status CommitOps(std::vector<PendingOp> ops);
 
   /// Validates ops under mu_ before logging (row existence, uniques).
   EDADB_NODISCARD Status ValidateOps(const std::vector<PendingOp>& ops);
 
   EDADB_NODISCARD Result<Table*> GetTableLocked(const std::string& name);
+
+  /// Recomputes `table`'s trigger mask from triggers_ (caller holds mu_
+  /// exclusively).
+  void RefreshTriggerMaskLocked(const std::string& table);
 
   DatabaseOptions options_;
   Clock* clock_;
@@ -219,7 +241,8 @@ class Transaction {
   EDADB_NODISCARD Status DeleteRow(const std::string& table, RowId row_id);
 
   /// Logs and applies all buffered operations. After Commit the object
-  /// is finished; further operations fail.
+  /// is finished; further operations fail. DurabilityUnknown: applied,
+  /// but the WAL sync failed (not a rollback).
   EDADB_NODISCARD Status Commit();
 
   /// Discards buffered operations.

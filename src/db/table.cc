@@ -53,7 +53,8 @@ std::vector<IndexDef> Table::index_defs() const {
 }
 
 Status Table::CheckRecord(const Record& record) const {
-  if (record.schema() == nullptr || !(*record.schema() == *schema_)) {
+  if (record.schema() != schema_ &&
+      (record.schema() == nullptr || !(*record.schema() == *schema_))) {
     // Allow records built against an identical schema instance.
     if (record.schema() == nullptr ||
         record.num_values() != schema_->num_fields()) {
@@ -83,8 +84,8 @@ void Table::IndexErase(RowId row_id, const Record& record) {
   }
 }
 
-Result<RowId> Table::ApplyInsert(RowId row_id, const Record& record) {
-  EDADB_RETURN_IF_ERROR(CheckRecord(record));
+Result<RowId> Table::ApplyInsert(RowId row_id, const Record& record,
+                                 std::string bytes) {
   // Enforce unique indexes before touching the heap.
   for (auto& [column, index] : indexes_) {
     if (!index->unique()) continue;
@@ -94,8 +95,6 @@ Result<RowId> Table::ApplyInsert(RowId row_id, const Record& record) {
                                    "' in table " + name_);
     }
   }
-  std::string bytes;
-  EncodeRow(record, &bytes);
   RowId id = row_id;
   if (id == 0) {
     id = heap_.Insert(std::move(bytes));
@@ -106,8 +105,9 @@ Result<RowId> Table::ApplyInsert(RowId row_id, const Record& record) {
   return id;
 }
 
-Status Table::ApplyUpdate(RowId row_id, const Record& record) {
-  EDADB_RETURN_IF_ERROR(CheckRecord(record));
+Status Table::ApplyUpdate(RowId row_id, const Record& record,
+                          std::string bytes) {
+  if (indexes_.empty()) return heap_.Update(row_id, std::move(bytes));
   EDADB_ASSIGN_OR_RETURN(Record old_record, GetRow(row_id));
   // Unique check, excluding this row itself.
   for (auto& [column, index] : indexes_) {
@@ -123,15 +123,15 @@ Status Table::ApplyUpdate(RowId row_id, const Record& record) {
     }
   }
   IndexErase(row_id, old_record);
-  std::string bytes;
-  EncodeRow(record, &bytes);
   EDADB_RETURN_IF_ERROR(heap_.Update(row_id, std::move(bytes)));
   return IndexInsert(row_id, record);
 }
 
 Status Table::ApplyDelete(RowId row_id) {
-  EDADB_ASSIGN_OR_RETURN(Record old_record, GetRow(row_id));
-  IndexErase(row_id, old_record);
+  if (!indexes_.empty()) {
+    EDADB_ASSIGN_OR_RETURN(Record old_record, GetRow(row_id));
+    IndexErase(row_id, old_record);
+  }
   return heap_.Delete(row_id);
 }
 

@@ -46,9 +46,15 @@ class Table {
   std::vector<IndexDef> index_defs() const;
 
   // Physical mutations (post-WAL apply path and recovery replay).
-  // ApplyInsert assigns the id when `row_id` is 0.
-  EDADB_NODISCARD Result<RowId> ApplyInsert(RowId row_id, const Record& record);
-  EDADB_NODISCARD Status ApplyUpdate(RowId row_id, const Record& record);
+  // `record` passed CheckRecord when its commit was validated; `bytes`
+  // is its EncodeRow form, which the heap keeps as is, so a commit
+  // encodes each row once for both the WAL and the heap. Old rows are
+  // decoded only to maintain indexes. ApplyInsert assigns the id when
+  // `row_id` is 0.
+  EDADB_NODISCARD Result<RowId> ApplyInsert(RowId row_id, const Record& record,
+                                            std::string bytes);
+  EDADB_NODISCARD Status ApplyUpdate(RowId row_id, const Record& record,
+                                     std::string bytes);
   EDADB_NODISCARD Status ApplyDelete(RowId row_id);
 
   /// Decoded row by id; NotFound when absent or deleted.
@@ -65,6 +71,12 @@ class Table {
   /// Validates a record against the schema (arity, types, NOT NULL).
   EDADB_NODISCARD Status CheckRecord(const Record& record) const;
 
+  /// Which (timing, op) pairs have an enabled trigger on this table, as
+  /// TriggerMaskBit bits (db/trigger.h). The Database keeps it current
+  /// so the commit path skips trigger work for tables without any.
+  uint8_t trigger_mask() const { return trigger_mask_; }
+  void set_trigger_mask(uint8_t mask) { trigger_mask_ = mask; }
+
  private:
   /// Index maintenance around heap mutations.
   EDADB_NODISCARD Status IndexInsert(RowId row_id, const Record& record);
@@ -75,6 +87,7 @@ class Table {
   SchemaPtr schema_;
   TableHeap heap_;
   std::map<std::string, std::unique_ptr<BTreeIndex>> indexes_;
+  uint8_t trigger_mask_ = 0;
 };
 
 }  // namespace edadb

@@ -15,8 +15,9 @@ namespace edadb {
 
 /// When a trigger fires relative to the data change. BEFORE triggers may
 /// veto (return a non-OK Status) or rewrite the new row; AFTER triggers
-/// observe committed changes — they are the tutorial's §2.2.a.i
-/// "capturing events using database triggers" hook.
+/// observe committed changes, including one whose WAL sync failed
+/// (DurabilityUnknown) — they are the tutorial's §2.2.a.i "capturing
+/// events using database triggers" hook.
 enum class TriggerTiming { kBefore, kAfter };
 
 /// DML operations a trigger subscribes to; combinable as a bitmask.
@@ -27,6 +28,13 @@ enum DmlOp : uint32_t {
 };
 
 std::string_view DmlOpToString(DmlOp op);
+
+/// Bit for (timing, op) in a table's trigger mask (Table::trigger_mask):
+/// BEFORE ops in bits 0-2, AFTER ops in bits 3-5.
+constexpr uint8_t TriggerMaskBit(TriggerTiming timing, uint32_t ops) {
+  return static_cast<uint8_t>((ops & 7u)
+                              << (timing == TriggerTiming::kAfter ? 3 : 0));
+}
 
 /// What a firing trigger sees. `new_row` is mutable for BEFORE
 /// INSERT/UPDATE triggers; `old_row` is set for UPDATE/DELETE.

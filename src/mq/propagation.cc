@@ -1,6 +1,7 @@
 #include "mq/propagation.h"
 
 #include "common/failpoint.h"
+#include "db/database.h"
 
 namespace edadb {
 
@@ -117,85 +118,16 @@ Result<size_t> Propagator::RunOnce() {
     DequeueRequest request;
     request.group = rule.source_group;
     for (;;) {
-      EDADB_ASSIGN_OR_RETURN(std::optional<Message> message,
-                             queues_->Dequeue(rule.source_queue, request));
-      if (!message.has_value()) break;
-      // Filter: non-matching messages are consumed and dropped.
-      if (rule.filter.has_value()) {
-        MessageView view(*message);
-        if (!rule.filter->MatchesOrFalse(view)) {
-          EDADB_RETURN_IF_ERROR(queues_->Ack(rule.source_queue,
-                                             rule.source_group,
-                                             message->id));
-          ++delta.dropped;
-          continue;
-        }
-      }
-      EnqueueRequest out;
-      if (rule.transform != nullptr) {
-        out = rule.transform(*message);
-      } else {
-        out.payload = message->payload;
-        out.attributes = message->attributes;
-        out.priority = message->priority;
-        out.correlation_id = message->correlation_id;
-      }
-      Status delivery;
-      bool injected = false;
-      if (rule.external != nullptr) {
-#if EDADB_FAILPOINTS_ENABLED
-        // Injected external-service error/timeout: the endpoint never
-        // sees the message, and it must be nacked and redelivered.
-        if (failpoint::internal::AnyArmed()) {
-          const failpoint::FireResult fp =
-              failpoint::Fire("mq.propagate.deliver");
-          if (fp.fired) {
-            if (fp.kind == failpoint::ActionKind::kCrash) {
-              failpoint::Crash("mq.propagate.deliver");
-            }
-            injected = true;
-            delivery = fp.status.ok()
-                           ? Status::TimedOut("injected external timeout")
-                           : fp.status;
-          }
-        }
-#endif
-        if (!injected) delivery = rule.external->Deliver(*message);
-      } else if (queues_->ShardOf(rule.source_queue) !=
-                 queues_->ShardOf(rule.destination_queue)) {
-        // Cross-shard handoff: enqueue through the destination shard's
-        // own commit pipeline, idempotently. The key is stable across
-        // redeliveries of the same source message (ids survive
-        // recovery), so the crash window between the destination
-        // commit and the source ack below replays into a nullopt
-        // (already delivered) instead of a duplicate.
-        const std::string dedup_key =
-            rule.name + "\x01" + std::to_string(message->id);
-        auto handed =
-            queues_->EnqueueDedup(rule.destination_queue, out, dedup_key);
-        delivery = handed.status();
-        if (delivery.ok()) {
-          // Destination committed (or had already committed) but the
-          // source still holds the message: the at-least-once window
-          // the torture schedules crash inside.
-          FAILPOINT("mq.propagate.handoff");
-        }
-      } else {
-        delivery = queues_->Enqueue(rule.destination_queue, out).status();
-      }
-      if (delivery.ok()) {
-        EDADB_RETURN_IF_ERROR(
-            queues_->Ack(rule.source_queue, rule.source_group, message->id));
-        ++delta.forwarded;
-        ++forwarded_total;
-      } else {
-        EDADB_RETURN_IF_ERROR(queues_->Nack(rule.source_queue,
-                                            rule.source_group, message->id));
-        ++delta.failed;
-        // Stop pumping this rule for now; the message is redeliverable.
-        break;
-      }
+      EDADB_ASSIGN_OR_RETURN(
+          std::vector<Message> batch,
+          queues_->DequeueBatch(rule.source_queue, request, kBatchSize));
+      if (batch.empty()) break;
+      EDADB_ASSIGN_OR_RETURN(const bool stopped,
+                             MoveBatch(rule, batch, &delta));
+      // A failed message stops this rule for now; it is redeliverable.
+      if (stopped) break;
     }
+    forwarded_total += delta.forwarded;
     MutexLock lock(&mu_);
     RuleStats& stats = stats_[rule.name];
     stats.forwarded += delta.forwarded;
@@ -203,6 +135,123 @@ Result<size_t> Propagator::RunOnce() {
     stats.failed += delta.failed;
   }
   return forwarded_total;
+}
+
+Result<bool> Propagator::MoveBatch(const PropagationRule& rule,
+                                   const std::vector<Message>& batch,
+                                   RuleStats* delta) {
+  // Filter: non-matching messages are consumed and dropped (acked with
+  // the forwarded ones below).
+  std::vector<MessageId> acks;
+  std::vector<const Message*> forward;
+  for (const Message& message : batch) {
+    if (rule.filter.has_value() &&
+        !rule.filter->MatchesOrFalse(MessageView(message))) {
+      acks.push_back(message.id);
+      ++delta->dropped;
+    } else {
+      forward.push_back(&message);
+    }
+  }
+  // Forward in order; `moved` counts the prefix that reached the
+  // destination. Past a failure nothing is tried.
+  size_t moved = 0;
+  if (rule.external != nullptr) {
+    for (; moved < forward.size(); ++moved) {
+      if (!DeliverExternal(rule, *forward[moved]).ok()) break;
+    }
+  } else if (!forward.empty()) {
+    std::vector<EnqueueRequest> out;
+    out.reserve(forward.size());
+    for (const Message* message : forward) {
+      if (rule.transform != nullptr) {
+        out.push_back(rule.transform(*message));
+      } else {
+        EnqueueRequest request;
+        request.payload = message->payload;
+        request.attributes = message->attributes;
+        request.priority = message->priority;
+        request.correlation_id = message->correlation_id;
+        out.push_back(std::move(request));
+      }
+    }
+    // Cross-shard handoff: enqueue idempotently through the destination
+    // shard's own commit pipeline. Each key is stable across
+    // redeliveries of its source message (ids survive recovery), so the
+    // crash window between the destination commit and the source ack
+    // below replays into "already delivered" instead of a duplicate.
+    const bool cross_shard = queues_->ShardOf(rule.source_queue) !=
+                             queues_->ShardOf(rule.destination_queue);
+    std::vector<std::string> keys;
+    if (cross_shard) {
+      keys.reserve(forward.size());
+      for (const Message* message : forward) {
+        keys.push_back(rule.name + "\x01" + std::to_string(message->id));
+      }
+    }
+    const std::string& to = rule.destination_queue;
+    // One transaction for the batch; if it fails without applying, one
+    // per message, so a poisoned message fails alone. A batch that
+    // applied (DurabilityUnknown) is moved: a retry would stage it twice.
+    if (CommitApplied(cross_shard
+                          ? queues_->EnqueueDedupBatch(to, out, keys).status()
+                          : queues_->EnqueueBatch(to, out).status())) {
+      moved = forward.size();
+    }
+    for (; moved < forward.size(); ++moved) {
+      const Status one =
+          cross_shard
+              ? queues_->EnqueueDedup(to, out[moved], keys[moved]).status()
+              : queues_->Enqueue(to, out[moved]).status();
+      if (!one.ok()) break;
+    }
+    if (cross_shard && moved > 0) {
+      // Destination committed (or had already committed) but the
+      // source still holds the messages: the at-least-once window the
+      // torture schedules crash inside.
+      FAILPOINT("mq.propagate.handoff");
+    }
+  }
+  for (size_t i = 0; i < moved; ++i) acks.push_back(forward[i]->id);
+  delta->forwarded += moved;
+  if (!acks.empty()) {
+    EDADB_RETURN_IF_ERROR(
+        queues_->AckBatch(rule.source_queue, rule.source_group, acks));
+  }
+  if (moved == forward.size()) return false;
+  // The failed message is charged one attempt (Nack); the ones after it
+  // were never tried, so they go back uncharged.
+  ++delta->failed;
+  EDADB_RETURN_IF_ERROR(queues_->Nack(rule.source_queue, rule.source_group,
+                                      forward[moved]->id));
+  std::vector<MessageId> untried;
+  for (size_t i = moved + 1; i < forward.size(); ++i) {
+    untried.push_back(forward[i]->id);
+  }
+  if (!untried.empty()) {
+    EDADB_RETURN_IF_ERROR(
+        queues_->Release(rule.source_queue, rule.source_group, untried));
+  }
+  return true;
+}
+
+Status Propagator::DeliverExternal(const PropagationRule& rule,
+                                   const Message& message) {
+#if EDADB_FAILPOINTS_ENABLED
+  // Injected external-service error/timeout: the endpoint never sees
+  // the message, and it must be nacked and redelivered.
+  if (failpoint::internal::AnyArmed()) {
+    const failpoint::FireResult fp = failpoint::Fire("mq.propagate.deliver");
+    if (fp.fired) {
+      if (fp.kind == failpoint::ActionKind::kCrash) {
+        failpoint::Crash("mq.propagate.deliver");
+      }
+      return fp.status.ok() ? Status::TimedOut("injected external timeout")
+                            : fp.status;
+    }
+  }
+#endif
+  return rule.external->Deliver(message);
 }
 
 }  // namespace edadb

@@ -88,15 +88,25 @@ struct PropagationRule {
 
 /// Pumps messages along its rules. Single-threaded driving model: call
 /// RunOnce() from a scheduler loop; each call drains every rule's source
-/// queue. Failures Nack the message so queue redelivery policy (and the
-/// dead-letter queue) applies.
+/// queue.
+///
+/// Messages move in batches of up to kBatchSize: one DequeueBatch, one
+/// EnqueueBatch into a destination queue (an external service gets one
+/// Deliver per message), one AckBatch — three transactions per batch
+/// instead of four per message. When the batch enqueue fails, the batch
+/// is retried message by message so a poisoned message fails alone.
+/// Past the first failing message nothing is tried: the delivered
+/// prefix (and every filter drop) is acked, the failing message is
+/// nacked, so queue redelivery policy and the dead-letter queue apply,
+/// and the rest are released uncharged — exactly what a
+/// message-at-a-time loop would have left behind.
 ///
 /// Cross-shard handoff: when source and destination queues live on
 /// different shards, the destination enqueue goes through the target
-/// shard's own commit pipeline via EnqueueDedup, keyed by (rule,
-/// source message id). The source-side ack happens after the
-/// destination commit, so a crash between the two replays the message —
-/// and the consumed dedup key makes the replay a no-op: at-least-once
+/// shard's own commit pipeline via EnqueueDedupBatch, one key per
+/// (rule, source message id). The source-side ack happens after the
+/// destination commit, so a crash between the two replays the messages
+/// — and the consumed dedup keys make the replay a no-op: at-least-once
 /// transport, exactly-once visibility.
 class Propagator {
  public:
@@ -117,7 +127,22 @@ class Propagator {
 
   EDADB_NODISCARD Result<RuleStats> GetStats(const std::string& name) const;
 
+  /// Messages moved per DequeueBatch/EnqueueBatch/AckBatch round.
+  static constexpr size_t kBatchSize = 64;
+
  private:
+  /// Moves one dequeued batch along `rule` and settles it on the
+  /// source; returns true when a message failed (the rule stops for
+  /// this pump).
+  EDADB_NODISCARD Result<bool> MoveBatch(const PropagationRule& rule,
+                                         const std::vector<Message>& batch,
+                                         RuleStats* delta);
+
+  /// One external delivery, behind the "mq.propagate.deliver" fault
+  /// site.
+  EDADB_NODISCARD static Status DeliverExternal(const PropagationRule& rule,
+                                                const Message& message);
+
   QueueService* const queues_;
   mutable Mutex mu_{"Propagator::mu_"};
   std::map<std::string, PropagationRule> rules_ EDADB_GUARDED_BY(mu_);

@@ -119,6 +119,24 @@ std::string GetString(const Record& record, std::string_view field) {
   return v->string_value();
 }
 
+/// A delivery row, in DelivSchema() field order.
+Record DeliveryRecord(const SchemaPtr& schema, const std::string& group,
+                      MessageId id, WallMicros visible_at,
+                      WallMicros locked_until, int64_t delivery_count) {
+  return Record(schema, {Value::String(group),
+                         Value::Int64(static_cast<int64_t>(id)),
+                         Value::Timestamp(visible_at.micros()),
+                         Value::Timestamp(locked_until.micros()),
+                         Value::Int64(delivery_count)});
+}
+
+/// `ids` without repeats, so a batch never stages two ops on one row.
+std::vector<MessageId> Distinct(std::vector<MessageId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 }  // namespace
 
 std::string QueueManager::MsgTableName(const std::string& queue) {
@@ -234,10 +252,22 @@ Status QueueManager::ReloadFromMeta() {
   RecursiveMutexLock lock(&mu_);
   queues_ = std::move(loaded);
   for (auto& [name, state] : queues_) {
+    EDADB_ASSIGN_OR_RETURN(state.tables, ResolveTables(name));
     EDADB_RETURN_IF_ERROR(RegisterQueueTriggers(name));
     EDADB_RETURN_IF_ERROR(RebuildRuntimeLocked(name, &state));
   }
   return Status::OK();
+}
+
+Result<QueueManager::QueueTables> QueueManager::ResolveTables(
+    const std::string& name) const {
+  QueueTables tables{MsgTableName(name), DelivTableName(name), nullptr,
+                     nullptr};
+  EDADB_ASSIGN_OR_RETURN(Table * msgs, db_->GetTable(tables.msg_table));
+  EDADB_ASSIGN_OR_RETURN(Table * dlv, db_->GetTable(tables.dlv_table));
+  tables.msg_schema = msgs->schema();
+  tables.dlv_schema = dlv->schema();
+  return tables;
 }
 
 Status QueueManager::CreateQueueStorage(const std::string& name) {
@@ -274,14 +304,14 @@ Status QueueManager::RegisterQueueTriggers(const std::string& name) {
 
 Status QueueManager::RebuildRuntimeLocked(const std::string& name,
                                           QueueState* state) {
-  EDADB_ASSIGN_OR_RETURN(Table * msgs, db_->GetTable(MsgTableName(name)));
+  EDADB_ASSIGN_OR_RETURN(Table * msgs, db_->GetTable(state->tables.msg_table));
   msgs->ScanRows([&](RowId row_id, const Record& row) {
     state->messages[row_id] = {
         GetInt64(row, "priority"),
         WallMicros::FromMicros(GetInt64(row, "expires_at"))};
     return true;
   });
-  EDADB_ASSIGN_OR_RETURN(Table * dlv, db_->GetTable(DelivTableName(name)));
+  EDADB_ASSIGN_OR_RETURN(Table * dlv, db_->GetTable(state->tables.dlv_table));
   // Persisted deadlines are wall timestamps (steady epochs do not
   // survive a process); convert the remaining span into the steady
   // domain the runtime maps live in. The wall-wall subtraction yields a
@@ -294,28 +324,26 @@ Status QueueManager::RebuildRuntimeLocked(const std::string& name,
     const MessageId msg_id = static_cast<MessageId>(GetInt64(row, "msg_id"));
     delivered_ids.insert(msg_id);
     GroupRuntime& rt = state->runtime[group];
-    rt.deliveries[msg_id] = {row_id, GetInt64(row, "delivery_count")};
     const WallMicros locked_until =
         WallMicros::FromMicros(GetInt64(row, "locked_until"));
     const WallMicros visible_at =
         WallMicros::FromMicros(GetInt64(row, "visible_at"));
-    auto meta = state->messages.find(msg_id);
-    const int64_t priority =
-        meta != state->messages.end() ? meta->second.priority : 0;
+    rt.deliveries[msg_id] = {row_id, GetInt64(row, "delivery_count"),
+                             visible_at};
     if (locked_until > wall_now) {
       rt.locked[msg_id] = steady_now + (locked_until - wall_now);
     } else if (visible_at > wall_now) {
       rt.delayed.emplace(steady_now + (visible_at - wall_now), msg_id);
     } else {
-      rt.ready.emplace(-priority, msg_id);
+      rt.ready.emplace(-PriorityOf(*state, msg_id), msg_id);
     }
     return true;
   });
-  // GC orphaned message rows: FinishDelivery deletes the last delivery
-  // row and the message row in two separate auto-commit transactions,
-  // so a crash between them leaves a fully-acked message body behind.
-  // Enqueue inserts message + deliveries atomically, so a message with
-  // no delivery row can only be that crash leftover — delete it.
+  // GC orphaned message rows. An ack now deletes the last delivery row
+  // and the message row in one transaction, but builds before that used
+  // two, and a crash between them left a fully acked message body
+  // behind. Enqueue inserts message + deliveries atomically, so a
+  // message with no delivery row can only be that leftover — delete it.
   std::vector<MessageId> orphans;
   for (const auto& [id, meta] : state->messages) {
     if (delivered_ids.count(id) == 0) orphans.push_back(id);
@@ -324,7 +352,7 @@ Status QueueManager::RebuildRuntimeLocked(const std::string& name,
     EDADB_LOG(Warn) << "queue '" << name << "': GC of orphaned message "
                     << id << " (crash between ack deletes)";
     state->messages.erase(id);
-    EDADB_RETURN_IF_ERROR(db_->DeleteRow(MsgTableName(name), id));
+    EDADB_RETURN_IF_ERROR(db_->DeleteRow(state->tables.msg_table, id));
   }
   return Status::OK();
 }
@@ -348,6 +376,7 @@ Status QueueManager::CreateQueue(const std::string& name,
   EDADB_RETURN_IF_ERROR(CreateQueueStorage(name));
   QueueState state;
   state.options = std::move(options);
+  EDADB_ASSIGN_OR_RETURN(state.tables, ResolveTables(name));
   queues_.emplace(name, std::move(state));
   return Status::OK();
 }
@@ -365,8 +394,8 @@ Status QueueManager::DropQueue(const std::string& name) {
     const Status dropped = db_->DropTrigger("__qt_" + name + suffix);
     if (!dropped.ok() && !dropped.IsNotFound()) return dropped;
   }
-  EDADB_RETURN_IF_ERROR(db_->DropTable(MsgTableName(name)));
-  EDADB_RETURN_IF_ERROR(db_->DropTable(DelivTableName(name)));
+  EDADB_RETURN_IF_ERROR(db_->DropTable(it->second.tables.msg_table));
+  EDADB_RETURN_IF_ERROR(db_->DropTable(it->second.tables.dlv_table));
   EDADB_ASSIGN_OR_RETURN(Predicate by_name,
                          Predicate::Compile("name = '" + name + "'"));
   EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kQueuesTable, by_name).status());
@@ -432,9 +461,7 @@ Status QueueManager::RemoveConsumerGroup(const std::string& queue,
     for (const auto& [id, deliv] : rt_it->second.deliveries) {
       ids.push_back(id);
     }
-    for (const MessageId id : ids) {
-      EDADB_RETURN_IF_ERROR(FinishDelivery(queue, &it->second, group, id));
-    }
+    EDADB_RETURN_IF_ERROR(FinishDeliveries(&it->second, group, std::move(ids)));
     it->second.runtime.erase(group);
   }
   return Status::OK();
@@ -455,22 +482,11 @@ std::vector<std::string> QueueManager::EffectiveGroups(
   return {state.explicit_groups.begin(), state.explicit_groups.end()};
 }
 
-Result<Record> QueueManager::BuildMessageRecord(
-    const SchemaPtr& schema, const EnqueueRequest& request,
-    WallMicros now) {
-  std::string attrs;
-  EncodeAttributes(request.attributes, &attrs);
-  return RecordBuilder(schema)
-      .SetTimestamp("enqueue_time", now.micros())
-      .SetTimestamp("visible_at", (now + request.delay_micros).micros())
-      .SetTimestamp("expires_at",
-                    request.ttl_micros > 0 ? (now + request.ttl_micros).micros()
-                                           : 0)
-      .SetInt64("priority", request.priority)
-      .SetString("correlation", request.correlation_id)
-      .SetString("attrs", std::move(attrs))
-      .SetString("payload", request.payload)
-      .Build();
+bool QueueManager::IsEffectiveGroup(const QueueState& state,
+                                    const std::string& group) {
+  return state.explicit_groups.empty()
+             ? group.empty()
+             : state.explicit_groups.count(group) > 0;
 }
 
 Result<MessageId> QueueManager::Enqueue(const std::string& queue,
@@ -488,24 +504,20 @@ Result<std::vector<MessageId>> QueueManager::EnqueueBatch(
 Result<std::vector<MessageId>> QueueManager::EnqueueSpan(
     const std::string& queue, const EnqueueRequest* requests, size_t count) {
   metrics::LatencyScope latency(EnqueueLatency());
+  // Resolving validates the queue even for an empty batch, so callers
+  // get the same NotFound they would for a non-empty one.
+  EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
   std::vector<MessageId> ids;
-  if (count == 0) {
-    // Validate the queue even for an empty batch so callers get the
-    // same NotFound they would for a non-empty one.
-    RecursiveMutexLock lock(&mu_);
-    if (queues_.find(queue) == queues_.end()) {
-      return Status::NotFound("queue '" + queue + "'");
-    }
-    return ids;
-  }
+  if (count == 0) return ids;
   ids.reserve(count);
+  const WallMicros now = clock_->WallNow();
   auto txn = db_->BeginTransaction();
   for (size_t i = 0; i < count; ++i) {
     // Crash between staged messages of a batch: the transaction never
     // commits, so the whole batch must vanish (all-or-nothing).
     if (i > 0) FAILPOINT("mq.enqueue_batch.mid");
     EDADB_ASSIGN_OR_RETURN(
-        MessageId id, EnqueueInTransaction(txn.get(), queue, requests[i]));
+        MessageId id, StageMessage(txn.get(), target, requests[i], now));
     ids.push_back(id);
   }
   // Ops staged but not committed: a crash here must lose the batch
@@ -520,79 +532,116 @@ Result<std::vector<MessageId>> QueueManager::EnqueueSpan(
   return ids;
 }
 
-Result<std::optional<MessageId>> QueueManager::EnqueueDedup(
-    const std::string& queue, const EnqueueRequest& request,
-    const std::string& dedup_key) {
-  if (dedup_key.empty()) {
-    return Status::InvalidArgument("EnqueueDedup needs a dedup key");
+Result<std::vector<std::optional<MessageId>>> QueueManager::EnqueueDedupBatch(
+    const std::string& queue, const std::vector<EnqueueRequest>& requests,
+    const std::vector<std::string>& dedup_keys) {
+  if (requests.size() != dedup_keys.size()) {
+    return Status::InvalidArgument(
+        "EnqueueDedupBatch needs one dedup key per request");
   }
+  return DedupSpan(queue, requests.data(), dedup_keys.data(),
+                   requests.size());
+}
+
+Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
+    const std::string& queue, const EnqueueRequest* requests,
+    const std::string* keys, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    if (keys[i].empty()) {
+      return Status::InvalidArgument("EnqueueDedup needs a dedup key");
+    }
+  }
+  EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
   EDADB_ASSIGN_OR_RETURN(Table * ledger, db_->GetTable(kHandoffTable));
-  Record key_row = *RecordBuilder(ledger->schema())
-                        .SetString("key", dedup_key)
-                        .SetTimestamp("consumed_at",
-                                      clock_->WallNow().micros())
-                        .Build();
+  const SchemaPtr ledger_schema = ledger->schema();
+  const WallMicros now = clock_->WallNow();
+  std::vector<std::optional<MessageId>> ids;
+  ids.reserve(count);
   auto txn = db_->BeginTransaction();
-  const Status claimed =
-      txn->Insert(kHandoffTable, std::move(key_row)).status();
-  if (claimed.IsAlreadyExists()) return std::optional<MessageId>();
-  EDADB_RETURN_IF_ERROR(claimed);
-  EDADB_ASSIGN_OR_RETURN(MessageId id,
-                         EnqueueInTransaction(txn.get(), queue, request));
-  // Key row + message + delivery rows commit atomically: the key is
-  // consumed iff the message became visible. Commit-time validation
-  // happens before any WAL append, so a lost race on the key aborts
-  // cleanly with AlreadyExists.
+  for (size_t i = 0; i < count; ++i) {
+    EDADB_RETURN_IF_ERROR(
+        txn->Insert(kHandoffTable,
+                    Record(ledger_schema, {Value::String(keys[i]),
+                                           Value::Timestamp(now.micros())}))
+            .status());
+    EDADB_ASSIGN_OR_RETURN(
+        MessageId id, StageMessage(txn.get(), target, requests[i], now));
+    ids.emplace_back(id);
+  }
+  // Key rows + message + delivery rows commit atomically: a key is
+  // consumed iff its message became visible. Commit-time validation
+  // happens before any WAL append, so a consumed key aborts cleanly
+  // with AlreadyExists.
   FAILPOINT("mq.handoff.before_commit");
   Status committed;
   {
     metrics::LatencyScope commit_latency(shard_commit_latency_);
     committed = txn->Commit();
   }
-  if (committed.IsAlreadyExists()) return std::optional<MessageId>();
+  if (committed.IsAlreadyExists()) {
+    if (count == 1) return std::vector<std::optional<MessageId>>{std::nullopt};
+    // Some key was consumed already (a handoff replayed after a crash):
+    // stage key by key, so only the consumed ones come back nullopt.
+    ids.clear();
+    for (size_t i = 0; i < count; ++i) {
+      EDADB_ASSIGN_OR_RETURN(std::vector<std::optional<MessageId>> one,
+                             DedupSpan(queue, &requests[i], &keys[i], 1));
+      ids.push_back(one.front());
+    }
+    return ids;
+  }
   EDADB_RETURN_IF_ERROR(committed);
-  EnqueuedCounter()->Add(1);
-  if (shard_enqueues_ != nullptr) shard_enqueues_->Add(1);
-  if (shard_handoffs_ != nullptr) shard_handoffs_->Add(1);
-  return std::optional<MessageId>(id);
+  EnqueuedCounter()->Add(count);
+  if (shard_enqueues_ != nullptr) shard_enqueues_->Add(count);
+  if (shard_handoffs_ != nullptr) shard_handoffs_->Add(count);
+  return ids;
+}
+
+Result<QueueManager::StagingTarget> QueueManager::ResolveStaging(
+    const std::string& queue) {
+  // Copied under mu_: DropQueue holds it across DropTable, so a
+  // concurrent drop cannot free a table mid-read.
+  RecursiveMutexLock lock(&mu_);
+  auto it = queues_.find(queue);
+  if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
+  const QueueState& state = it->second;
+  return StagingTarget{state.tables, EffectiveGroups(state)};
+}
+
+Result<MessageId> QueueManager::StageMessage(Transaction* txn,
+                                             const StagingTarget& target,
+                                             const EnqueueRequest& request,
+                                             WallMicros now) {
+  std::string attrs;
+  EncodeAttributes(request.attributes, &attrs);
+  const WallMicros visible_at = now + request.delay_micros;
+  // MsgSchema() field order.
+  Record msg_row(
+      target.tables.msg_schema,
+      {Value::Timestamp(now.micros()), Value::Timestamp(visible_at.micros()),
+       Value::Timestamp(request.ttl_micros > 0
+                            ? (now + request.ttl_micros).micros()
+                            : 0),
+       Value::Int64(request.priority), Value::String(request.correlation_id),
+       Value::String(std::move(attrs)), Value::String(request.payload)});
+  EDADB_ASSIGN_OR_RETURN(MessageId id,
+                         txn->Insert(target.tables.msg_table,
+                                     std::move(msg_row)));
+  for (const std::string& group : target.groups) {
+    EDADB_RETURN_IF_ERROR(
+        txn->Insert(target.tables.dlv_table,
+                    DeliveryRecord(target.tables.dlv_schema, group, id,
+                                   visible_at, WallMicros(), 0))
+            .status());
+  }
+  return id;
 }
 
 Result<MessageId> QueueManager::EnqueueInTransaction(
     Transaction* txn, const std::string& queue,
     const EnqueueRequest& request) {
-  std::vector<std::string> groups;
-  SchemaPtr msg_schema;
-  SchemaPtr dlv_schema;
-  {
-    // The schemas are copied under mu_: DropQueue holds it across
-    // DropTable, so a concurrent drop cannot free a table mid-read.
-    RecursiveMutexLock lock(&mu_);
-    auto it = queues_.find(queue);
-    if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-    groups = EffectiveGroups(it->second);
-    EDADB_ASSIGN_OR_RETURN(Table * msgs, db_->GetTable(MsgTableName(queue)));
-    EDADB_ASSIGN_OR_RETURN(Table * dlv, db_->GetTable(DelivTableName(queue)));
-    msg_schema = msgs->schema();
-    dlv_schema = dlv->schema();
-  }
-  const WallMicros now = clock_->WallNow();
-  EDADB_ASSIGN_OR_RETURN(Record msg_row,
-                         BuildMessageRecord(msg_schema, request, now));
-  EDADB_ASSIGN_OR_RETURN(MessageId id,
-                         txn->Insert(MsgTableName(queue), std::move(msg_row)));
-  for (const std::string& group : groups) {
-    Record dlv_row = *RecordBuilder(dlv_schema)
-                          .SetString("grp", group)
-                          .SetInt64("msg_id", static_cast<int64_t>(id))
-                          .SetTimestamp("visible_at",
-                                        (now + request.delay_micros).micros())
-                          .SetTimestamp("locked_until", 0)
-                          .SetInt64("delivery_count", 0)
-                          .Build();
-    EDADB_RETURN_IF_ERROR(
-        txn->Insert(DelivTableName(queue), std::move(dlv_row)).status());
-  }
-  return id;
+  EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
+  return StageMessage(txn, target, request, clock_->WallNow());
 }
 
 void QueueManager::OnMessageInserted(const std::string& queue, MessageId id,
@@ -615,29 +664,33 @@ void QueueManager::OnDeliveryInserted(const std::string& queue,
     const std::string group = GetString(row, "grp");
     const MessageId msg_id = static_cast<MessageId>(GetInt64(row, "msg_id"));
     GroupRuntime& rt = state.runtime[group];
-    rt.deliveries[msg_id] = {deliv_row, GetInt64(row, "delivery_count")};
     // Row carries a wall visible_at; the runtime delay is the remaining
     // span mapped onto the steady domain.
     const WallMicros visible_at =
         WallMicros::FromMicros(GetInt64(row, "visible_at"));
+    rt.deliveries[msg_id] = {deliv_row, GetInt64(row, "delivery_count"),
+                             visible_at};
     const WallMicros wall_now = clock_->WallNow();
-    auto meta = state.messages.find(msg_id);
-    const int64_t priority =
-        meta != state.messages.end() ? meta->second.priority : 0;
     if (visible_at > wall_now) {
       rt.delayed.emplace(clock_->SteadyNow() + (visible_at - wall_now),
                          msg_id);
     } else {
-      rt.ready.emplace(-priority, msg_id);
+      rt.ready.emplace(-PriorityOf(state, msg_id), msg_id);
     }
     BumpActivityLocked();
   }
   enqueue_cv_.SignalAll();
 }
 
+int64_t QueueManager::PriorityOf(const QueueState& state, MessageId id) {
+  auto meta = state.messages.find(id);
+  return meta != state.messages.end() ? meta->second.priority : 0;
+}
+
 Result<Message> QueueManager::LoadMessage(const std::string& queue,
+                                          const QueueTables& tables,
                                           MessageId id) const {
-  EDADB_ASSIGN_OR_RETURN(Record row, db_->GetRow(MsgTableName(queue), id));
+  EDADB_ASSIGN_OR_RETURN(Record row, db_->GetRow(tables.msg_table, id));
   Message message;
   message.id = id;
   message.queue = queue;
@@ -659,17 +712,11 @@ void QueueManager::Promote(QueueState* state, GroupRuntime* rt,
   while (!rt->delayed.empty() && rt->delayed.begin()->first <= steady_now) {
     const MessageId id = rt->delayed.begin()->second;
     rt->delayed.erase(rt->delayed.begin());
-    auto meta = state->messages.find(id);
-    const int64_t priority =
-        meta != state->messages.end() ? meta->second.priority : 0;
-    rt->ready.emplace(-priority, id);
+    rt->ready.emplace(-PriorityOf(*state, id), id);
   }
   for (auto it = rt->locked.begin(); it != rt->locked.end();) {
     if (it->second <= steady_now) {
-      auto meta = state->messages.find(it->first);
-      const int64_t priority =
-          meta != state->messages.end() ? meta->second.priority : 0;
-      rt->ready.emplace(-priority, it->first);
+      rt->ready.emplace(-PriorityOf(*state, it->first), it->first);
       it = rt->locked.erase(it);
     } else {
       ++it;
@@ -677,53 +724,62 @@ void QueueManager::Promote(QueueState* state, GroupRuntime* rt,
   }
 }
 
-Status QueueManager::FinishDelivery(const std::string& queue,
-                                    QueueState* state,
-                                    const std::string& group, MessageId id) {
+Status QueueManager::FinishDeliveries(QueueState* state,
+                                      const std::string& group,
+                                      std::vector<MessageId> ids) {
   auto rt_it = state->runtime.find(group);
   if (rt_it == state->runtime.end()) {
     return Status::NotFound("no runtime for group '" + group + "'");
   }
   GroupRuntime& rt = rt_it->second;
-  auto deliv_it = rt.deliveries.find(id);
-  if (deliv_it == rt.deliveries.end()) {
-    return Status::NotFound("no delivery of message " + std::to_string(id) +
-                            " for group '" + group + "'");
-  }
-  FAILPOINT("mq.finish.before_dlv_delete");
-  const RowId deliv_row = deliv_it->second.deliv_row;
-  rt.deliveries.erase(deliv_it);
-  rt.locked.erase(id);
-  auto meta = state->messages.find(id);
-  const int64_t priority =
-      meta != state->messages.end() ? meta->second.priority : 0;
-  rt.ready.erase({-priority, id});
-  for (auto it = rt.delayed.begin(); it != rt.delayed.end(); ++it) {
-    if (it->second == id) {
-      rt.delayed.erase(it);
-      break;
+  ids = Distinct(std::move(ids));
+  // The message row goes with the last delivery row: `last[i]` is set
+  // when no other group still holds ids[i].
+  std::vector<bool> last(ids.size(), true);
+  auto txn = db_->BeginTransaction();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const MessageId id = ids[i];
+    auto deliv_it = rt.deliveries.find(id);
+    if (deliv_it == rt.deliveries.end()) {
+      return Status::NotFound("no delivery of message " + std::to_string(id) +
+                              " for group '" + group + "'");
+    }
+    EDADB_RETURN_IF_ERROR(
+        txn->DeleteRow(state->tables.dlv_table, deliv_it->second.deliv_row));
+    for (const auto& [name, other_rt] : state->runtime) {
+      if (name != group && other_rt.deliveries.count(id) > 0) {
+        last[i] = false;
+        break;
+      }
+    }
+    if (last[i]) {
+      EDADB_RETURN_IF_ERROR(txn->DeleteRow(state->tables.msg_table, id));
     }
   }
-  EDADB_RETURN_IF_ERROR(db_->DeleteRow(DelivTableName(queue), deliv_row));
-  // The delivery row is gone but the message row still exists: a crash
-  // here is the orphaned-message window RebuildRuntimeLocked GCs.
-  FAILPOINT("mq.finish.after_dlv_delete");
-
-  // GC the message when no group still holds a delivery.
-  bool live = false;
-  for (const auto& [name, other_rt] : state->runtime) {
-    if (other_rt.deliveries.count(id) > 0) {
-      live = true;
-      break;
+  // Nothing durable yet: a crash here redelivers after the timeout.
+  FAILPOINT("mq.finish.before_commit");
+  // A commit that applied but failed its sync deleted the rows too, so
+  // the runtime follows them; it keeps the ids only if nothing applied.
+  const Status committed = txn->Commit();
+  if (!CommitApplied(committed)) return committed;
+  // The rows are gone: a crash from here on must never redeliver.
+  FAILPOINT_HIT("mq.finish.after_commit");
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const MessageId id = ids[i];
+    rt.deliveries.erase(id);
+    // A live delivery sits in exactly one of locked / ready / delayed.
+    if (rt.locked.erase(id) == 0 &&
+        rt.ready.erase({-PriorityOf(*state, id), id}) == 0) {
+      for (auto it = rt.delayed.begin(); it != rt.delayed.end(); ++it) {
+        if (it->second == id) {
+          rt.delayed.erase(it);
+          break;
+        }
+      }
     }
+    if (last[i]) state->messages.erase(id);
   }
-  if (!live) {
-    state->messages.erase(id);
-    // A failed delete must surface: the caller's ack is not complete
-    // until the message row is gone (recovery would reattach it).
-    EDADB_RETURN_IF_ERROR(db_->DeleteRow(MsgTableName(queue), id));
-  }
-  return Status::OK();
+  return committed;
 }
 
 Status QueueManager::DeadLetter(const std::string& queue, QueueState* state,
@@ -731,7 +787,7 @@ Status QueueManager::DeadLetter(const std::string& queue, QueueState* state,
                                 const std::string& reason) {
   if (!state->options.dead_letter_queue.empty() &&
       queues_.count(state->options.dead_letter_queue) > 0) {
-    auto message = LoadMessage(queue, id);
+    auto message = LoadMessage(queue, state->tables, id);
     if (message.ok()) {
       EnqueueRequest request;
       request.payload = message->payload;
@@ -752,7 +808,7 @@ Status QueueManager::DeadLetter(const std::string& queue, QueueState* state,
     }
   }
   DeadLetterCounter()->Add(1);
-  return FinishDelivery(queue, state, group, id);
+  return FinishDeliveries(state, group, {id});
 }
 
 Result<std::optional<Message>> QueueManager::Dequeue(
@@ -772,9 +828,7 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   QueueState& state = it->second;
-  const std::vector<std::string> groups = EffectiveGroups(state);
-  if (std::find(groups.begin(), groups.end(), request.group) ==
-      groups.end()) {
+  if (!IsEffectiveGroup(state, request.group)) {
     return Status::NotFound("consumer group '" + request.group +
                             "' not registered on queue '" + queue + "'");
   }
@@ -784,62 +838,73 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
   const WallMicros wall_now = clock_->WallNow();
   const SteadyMicros steady_now = clock_->SteadyNow();
   Promote(&state, &rt, steady_now);
-  if (max_messages == 0) return out;
 
-  // Snapshot the ready order; dead-lettering below mutates the set.
-  std::vector<std::pair<int64_t, MessageId>> candidates(rt.ready.begin(),
-                                                        rt.ready.end());
-  for (const auto& [neg_priority, id] : candidates) {
+  // Walk the ready set in place, in dequeue order. Dead-lettering
+  // erases the entry under the cursor, so the cursor steps past it
+  // first; nothing else this loop calls erases ready entries.
+  std::vector<std::pair<std::pair<int64_t, MessageId>, DelivState*>> picked;
+  for (auto ready_it = rt.ready.begin();
+       ready_it != rt.ready.end() && out.size() < max_messages;) {
+    const std::pair<int64_t, MessageId> key = *ready_it;
+    const MessageId id = key.second;
     auto meta_it = state.messages.find(id);
-    if (meta_it == state.messages.end()) {
-      rt.ready.erase({neg_priority, id});
-      continue;
-    }
-    const MsgMeta meta = meta_it->second;
-    if (meta.expires_at.micros() != 0 && meta.expires_at <= wall_now) {
-      EDADB_RETURN_IF_ERROR(
-          DeadLetter(queue, &state, request.group, id, "expired"));
-      continue;
-    }
     auto deliv_it = rt.deliveries.find(id);
-    if (deliv_it == rt.deliveries.end()) {
-      rt.ready.erase({neg_priority, id});
+    if (meta_it == state.messages.end() || deliv_it == rt.deliveries.end()) {
+      ready_it = rt.ready.erase(ready_it);
       continue;
     }
-    if (deliv_it->second.delivery_count >= state.options.max_deliveries) {
+    const WallMicros expires_at = meta_it->second.expires_at;
+    const char* dead_reason = nullptr;
+    if (expires_at.micros() != 0 && expires_at <= wall_now) {
+      dead_reason = "expired";
+    } else if (deliv_it->second.delivery_count >=
+               state.options.max_deliveries) {
+      dead_reason = "max_deliveries";
+    }
+    ++ready_it;
+    if (dead_reason != nullptr) {
       EDADB_RETURN_IF_ERROR(
-          DeadLetter(queue, &state, request.group, id, "max_deliveries"));
+          DeadLetter(queue, &state, request.group, id, dead_reason));
       continue;
     }
-    EDADB_ASSIGN_OR_RETURN(Message message, LoadMessage(queue, id));
+    EDADB_ASSIGN_OR_RETURN(Message message,
+                           LoadMessage(queue, state.tables, id));
     if (request.selector.has_value()) {
       MessageView view(message);
       if (!request.selector->MatchesOrFalse(view)) continue;
     }
-    // Lock it for this group. A crash before the lock persists means
-    // the consumer never saw the message: it must be redelivered.
-    FAILPOINT("mq.dequeue.before_lock_persist");
-    DelivState& deliv = deliv_it->second;
-    deliv.delivery_count += 1;
-    // The row stores the wall-domain deadline (recovery converts it
-    // back); the runtime lock is its steady-domain twin.
-    const WallMicros locked_until_wall =
-        wall_now + state.options.visibility_timeout_micros;
-    EDADB_ASSIGN_OR_RETURN(Record dlv_row,
-                           db_->GetRow(DelivTableName(queue),
-                                       deliv.deliv_row));
-    EDADB_RETURN_IF_ERROR(dlv_row.Set(
-        "locked_until", Value::Timestamp(locked_until_wall.micros())));
-    EDADB_RETURN_IF_ERROR(dlv_row.Set("delivery_count",
-                                      Value::Int64(deliv.delivery_count)));
-    EDADB_RETURN_IF_ERROR(db_->UpdateRow(DelivTableName(queue),
-                                         deliv.deliv_row,
-                                         std::move(dlv_row)));
-    rt.ready.erase({neg_priority, id});
-    rt.locked[id] = steady_now + state.options.visibility_timeout_micros;
-    message.delivery_count = deliv.delivery_count;
+    message.delivery_count = deliv_it->second.delivery_count + 1;
+    picked.emplace_back(key, &deliv_it->second);
     out.push_back(std::move(message));
-    if (out.size() >= max_messages) break;
+  }
+  if (out.empty()) return out;
+
+  // Lock every taken message for this group in one transaction. The
+  // rows store the wall-domain deadline (recovery converts it back);
+  // the runtime locks are its steady-domain twin.
+  const WallMicros locked_until_wall =
+      wall_now + state.options.visibility_timeout_micros;
+  auto txn = db_->BeginTransaction();
+  for (size_t i = 0; i < out.size(); ++i) {
+    const DelivState& deliv = *picked[i].second;
+    EDADB_RETURN_IF_ERROR(txn->UpdateRow(
+        state.tables.dlv_table, deliv.deliv_row,
+        DeliveryRecord(state.tables.dlv_schema, request.group, out[i].id,
+                       deliv.visible_at, locked_until_wall,
+                       out[i].delivery_count)));
+  }
+  // A crash before the locks persist means the consumer never saw the
+  // messages: they must be redelivered, with no attempt counted. On any
+  // commit error, DurabilityUnknown included, the caller never sees
+  // them either, so they stay ready and the next dequeue rewrites
+  // their rows.
+  FAILPOINT("mq.dequeue.before_lock_persist");
+  EDADB_RETURN_IF_ERROR(txn->Commit());
+  for (size_t i = 0; i < out.size(); ++i) {
+    rt.ready.erase(picked[i].first);
+    rt.locked[out[i].id] =
+        steady_now + state.options.visibility_timeout_micros;
+    picked[i].second->delivery_count = out[i].delivery_count;
   }
   DequeuedCounter()->Add(out.size());
   if (shard_dequeues_ != nullptr) shard_dequeues_->Add(out.size());
@@ -913,17 +978,19 @@ void QueueManager::Shutdown() {
   enqueue_cv_.SignalAll();
 }
 
-Status QueueManager::Ack(const std::string& queue, const std::string& group,
-                         MessageId id) {
+Status QueueManager::AckBatch(const std::string& queue,
+                              const std::string& group,
+                              const std::vector<MessageId>& ids) {
   metrics::LatencyScope latency(AckLatency());
   RecursiveMutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
+  if (ids.empty()) return Status::OK();
   // Nothing persisted yet: a crash here loses the ack, and the message
   // must be redelivered after the visibility timeout (at-least-once).
   FAILPOINT("mq.ack.before_finish");
-  EDADB_RETURN_IF_ERROR(FinishDelivery(queue, &it->second, group, id));
-  AckCounter()->Add(1);
+  EDADB_RETURN_IF_ERROR(FinishDeliveries(&it->second, group, ids));
+  AckCounter()->Add(ids.size());
   return Status::OK();
 }
 
@@ -943,34 +1010,71 @@ Status QueueManager::Nack(const std::string& queue, const std::string& group,
   if (deliv_it == rt.deliveries.end()) {
     return Status::NotFound("no delivery of message " + std::to_string(id));
   }
-  if (deliv_it->second.delivery_count >= state.options.max_deliveries) {
+  DelivState& deliv = deliv_it->second;
+  if (deliv.delivery_count >= state.options.max_deliveries) {
     return DeadLetter(queue, &state, group, id, "max_deliveries");
   }
   FAILPOINT("mq.nack.before_persist");
   // Persist the redelivery time as wall; schedule it in steady.
-  const WallMicros wall_now = clock_->WallNow();
-  const WallMicros visible_at_wall = wall_now + redeliver_delay_micros;
-  EDADB_ASSIGN_OR_RETURN(
-      Record dlv_row,
-      db_->GetRow(DelivTableName(queue), deliv_it->second.deliv_row));
-  EDADB_RETURN_IF_ERROR(dlv_row.Set("locked_until", Value::Timestamp(0)));
-  EDADB_RETURN_IF_ERROR(
-      dlv_row.Set("visible_at", Value::Timestamp(visible_at_wall.micros())));
-  EDADB_RETURN_IF_ERROR(db_->UpdateRow(
-      DelivTableName(queue), deliv_it->second.deliv_row, std::move(dlv_row)));
+  const WallMicros visible_at = clock_->WallNow() + redeliver_delay_micros;
+  const Status updated = db_->UpdateRow(
+      state.tables.dlv_table, deliv.deliv_row,
+      DeliveryRecord(state.tables.dlv_schema, group, id, visible_at,
+                     WallMicros(), deliv.delivery_count));
+  if (!CommitApplied(updated)) return updated;
+  deliv.visible_at = visible_at;
   rt.locked.erase(id);
-  auto meta = state.messages.find(id);
-  const int64_t priority =
-      meta != state.messages.end() ? meta->second.priority : 0;
   if (redeliver_delay_micros > 0) {
     rt.delayed.emplace(clock_->SteadyNow() + redeliver_delay_micros, id);
   } else {
-    rt.ready.emplace(-priority, id);
+    rt.ready.emplace(-PriorityOf(state, id), id);
   }
   NackCounter()->Add(1);
   BumpActivityLocked();
   enqueue_cv_.SignalAll();
-  return Status::OK();
+  return updated;
+}
+
+Status QueueManager::Release(const std::string& queue,
+                             const std::string& group,
+                             const std::vector<MessageId>& ids) {
+  RecursiveMutexLock lock(&mu_);
+  auto it = queues_.find(queue);
+  if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
+  QueueState& state = it->second;
+  auto rt_it = state.runtime.find(group);
+  if (rt_it == state.runtime.end()) {
+    if (ids.empty()) return Status::OK();
+    return Status::NotFound("no runtime for group '" + group + "'");
+  }
+  GroupRuntime& rt = rt_it->second;
+  std::vector<std::pair<MessageId, DelivState*>> held;
+  auto txn = db_->BeginTransaction();
+  for (const MessageId id : Distinct(ids)) {
+    auto deliv_it = rt.deliveries.find(id);
+    if (deliv_it == rt.deliveries.end()) {
+      return Status::NotFound("no delivery of message " + std::to_string(id));
+    }
+    if (rt.locked.count(id) == 0) continue;  // Lock lapsed: already back.
+    DelivState& deliv = deliv_it->second;
+    EDADB_RETURN_IF_ERROR(txn->UpdateRow(
+        state.tables.dlv_table, deliv.deliv_row,
+        DeliveryRecord(state.tables.dlv_schema, group, id, deliv.visible_at,
+                       WallMicros(),
+                       std::max<int64_t>(0, deliv.delivery_count - 1))));
+    held.emplace_back(id, &deliv);
+  }
+  if (held.empty()) return Status::OK();
+  const Status committed = txn->Commit();
+  if (!CommitApplied(committed)) return committed;
+  for (const auto& [id, deliv] : held) {
+    deliv->delivery_count = std::max<int64_t>(0, deliv->delivery_count - 1);
+    rt.locked.erase(id);
+    rt.ready.emplace(-PriorityOf(state, id), id);
+  }
+  BumpActivityLocked();
+  enqueue_cv_.SignalAll();
+  return committed;
 }
 
 Result<size_t> QueueManager::Depth(const std::string& queue,
@@ -1018,7 +1122,7 @@ Result<size_t> QueueManager::PurgeExpired(const std::string& queue) {
             DeadLetter(queue, &state, group, id, "expired"));
         first = false;
       } else {
-        EDADB_RETURN_IF_ERROR(FinishDelivery(queue, &state, group, id));
+        EDADB_RETURN_IF_ERROR(FinishDeliveries(&state, group, {id}));
       }
     }
     if (!holding.empty()) ++purged;
@@ -1040,22 +1144,16 @@ Status QueueManager::Browse(
   std::set<std::pair<int64_t, MessageId>> visible = rt_it->second.ready;
   for (const auto& [visible_at, id] : rt_it->second.delayed) {
     if (visible_at <= steady_now) {
-      auto meta = it->second.messages.find(id);
-      visible.emplace(
-          meta != it->second.messages.end() ? -meta->second.priority : 0,
-          id);
+      visible.emplace(-PriorityOf(it->second, id), id);
     }
   }
   for (const auto& [id, locked_until] : rt_it->second.locked) {
     if (locked_until <= steady_now) {
-      auto meta = it->second.messages.find(id);
-      visible.emplace(
-          meta != it->second.messages.end() ? -meta->second.priority : 0,
-          id);
+      visible.emplace(-PriorityOf(it->second, id), id);
     }
   }
   for (const auto& [neg_priority, id] : visible) {
-    auto message = LoadMessage(queue, id);
+    auto message = LoadMessage(queue, it->second.tables, id);
     if (!message.ok()) continue;
     if (!fn(*message)) break;
   }
@@ -1065,10 +1163,9 @@ Status QueueManager::Browse(
 Result<Message> QueueManager::Peek(const std::string& queue,
                                    MessageId id) const {
   RecursiveMutexLock lock(&mu_);
-  if (queues_.count(queue) == 0) {
-    return Status::NotFound("queue '" + queue + "'");
-  }
-  return LoadMessage(queue, id);
+  auto it = queues_.find(queue);
+  if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
+  return LoadMessage(queue, it->second.tables, id);
 }
 
 std::string Message::ToString() const {

@@ -30,9 +30,10 @@ namespace edadb {
 /// timeouts; redelivery increments delivery_count; after
 /// max_deliveries the message moves to the dead-letter queue.
 ///
-/// Thread-safe. Dequeue/Ack/Nack serialize on an internal mutex;
-/// enqueues only take the database's own locks and wake blocked
-/// DequeueWait() callers.
+/// Thread-safe. Dequeue/Ack/Nack/Release serialize on an internal
+/// mutex; enqueues only take the database's own locks and wake blocked
+/// DequeueWait() callers. Each call is at most one transaction on the
+/// happy path, whatever its batch size.
 ///
 /// One QueueManager is one delivery shard: one database (WAL stream +
 /// commit pipeline), one lock domain, one wait/wake domain. The sharded
@@ -77,13 +78,15 @@ class QueueManager : public QueueService {
       const std::string& queue,
       const std::vector<EnqueueRequest>& requests) override;
 
-  /// Idempotent enqueue (see QueueService::EnqueueDedup): one
-  /// transaction consumes `dedup_key` in the __handoff ledger (unique
-  /// index) and stages the message; a consumed key aborts the commit
-  /// before it reaches the WAL and reports nullopt.
-  EDADB_NODISCARD Result<std::optional<MessageId>> EnqueueDedup(
-      const std::string& queue, const EnqueueRequest& request,
-      const std::string& dedup_key) override;
+  /// Idempotent enqueue (see QueueService::EnqueueDedupBatch): one
+  /// transaction consumes every key in the __handoff ledger (unique
+  /// index) and stages the messages. A consumed key aborts that commit
+  /// before it reaches the WAL; the batch then falls back to one
+  /// transaction per key, and a consumed key reports nullopt.
+  EDADB_NODISCARD Result<std::vector<std::optional<MessageId>>>
+  EnqueueDedupBatch(const std::string& queue,
+                    const std::vector<EnqueueRequest>& requests,
+                    const std::vector<std::string>& dedup_keys) override;
 
   /// Transactional enqueue: the message becomes visible only when `txn`
   /// commits (§2.2.b.ii.3 "transactional support").
@@ -99,11 +102,16 @@ class QueueManager : public QueueService {
       const std::string& queue, const DequeueRequest& request) override;
 
   /// Batch dequeue: takes up to `max_messages` deliverable messages in
-  /// dequeue order under one runtime lock. Each message is locked for
-  /// the visibility timeout individually — acks/nacks stay per-message,
-  /// so a consumer can ack some of a batch and nack the rest. Fewer
-  /// than `max_messages` (possibly zero) are returned when the queue
-  /// runs dry.
+  /// dequeue order under one runtime lock, walking the ready set in
+  /// place (a one-at-a-time drain costs O(log depth) per message, not
+  /// O(depth)). Every taken message is locked for the visibility
+  /// timeout, and all the locks persist in ONE transaction; the
+  /// in-memory runtime moves only after it commits, so a failed or
+  /// crashed commit leaves the messages deliverable with their delivery
+  /// counts unchanged. Acks, nacks and releases stay per message, so a
+  /// consumer can ack some of a batch, nack one and release the rest.
+  /// Fewer than `max_messages` (possibly zero) are returned when the
+  /// queue runs dry.
   EDADB_NODISCARD Result<std::vector<Message>> DequeueBatch(
       const std::string& queue, const DequeueRequest& request,
       size_t max_messages) override;
@@ -142,10 +150,18 @@ class QueueManager : public QueueService {
   /// operations keep working (drain-then-stop shutdowns).
   void Shutdown() override;
 
-  /// Completes consumption. When every group has acked, the message row
-  /// is removed.
-  EDADB_NODISCARD Status Ack(const std::string& queue, const std::string& group,
-             MessageId id) override;
+  /// Completes consumption (QueueService::Ack is the one-id form). One
+  /// transaction deletes each delivery row together with the message
+  /// row once no group still holds it, so no crash can leave a fully
+  /// acked message body behind.
+  EDADB_NODISCARD Status AckBatch(const std::string& queue,
+                                  const std::string& group,
+                                  const std::vector<MessageId>& ids) override;
+
+  /// See QueueService::Release.
+  EDADB_NODISCARD Status Release(const std::string& queue,
+                                 const std::string& group,
+                                 const std::vector<MessageId>& ids) override;
 
   /// Returns the message to the queue after `redeliver_delay_micros`
   /// (dead-letters it if max_deliveries is exhausted).
@@ -190,10 +206,12 @@ class QueueManager : public QueueService {
     WallMicros expires_at;
   };
 
-  /// One group's live delivery of a message.
+  /// One group's live delivery of a message, mirroring its delivery
+  /// row so lock/unlock updates can rewrite the row without reading it.
   struct DelivState {
     RowId deliv_row = 0;
     int64_t delivery_count = 0;
+    WallMicros visible_at;
   };
 
   /// In-memory dequeue index per consumer group. The database tables are
@@ -218,15 +236,35 @@ class QueueManager : public QueueService {
     std::map<MessageId, DelivState> deliveries;
   };
 
+  /// A queue's message and delivery tables, resolved once at
+  /// create/attach.
+  struct QueueTables {
+    std::string msg_table;
+    std::string dlv_table;
+    SchemaPtr msg_schema;
+    SchemaPtr dlv_schema;
+  };
+
   struct QueueState {
     QueueCreateOptions options;
     std::set<std::string> explicit_groups;
     std::map<std::string, GroupRuntime> runtime;  // Keyed by group.
     std::map<MessageId, MsgMeta> messages;
+    QueueTables tables;
+  };
+
+  /// What staging messages on a queue needs, copied out under mu_ so the
+  /// staging transaction itself runs without it.
+  struct StagingTarget {
+    QueueTables tables;
+    std::vector<std::string> groups;
   };
 
   static std::string MsgTableName(const std::string& queue);
   static std::string DelivTableName(const std::string& queue);
+
+  EDADB_NODISCARD Result<QueueTables> ResolveTables(
+      const std::string& name) const;
 
   EDADB_NODISCARD Status EnsureMetaTables();
   EDADB_NODISCARD Status ReloadFromMeta();
@@ -244,9 +282,13 @@ class QueueManager : public QueueService {
   void OnDeliveryInserted(const std::string& queue, RowId deliv_row,
                           const Record& row);
 
-  EDADB_NODISCARD static Result<Record> BuildMessageRecord(
-      const SchemaPtr& schema, const EnqueueRequest& request,
-      WallMicros now);
+  EDADB_NODISCARD Result<StagingTarget> ResolveStaging(
+      const std::string& queue);
+
+  /// Inserts one message row plus a delivery row per group into `txn`.
+  EDADB_NODISCARD static Result<MessageId> StageMessage(
+      Transaction* txn, const StagingTarget& target,
+      const EnqueueRequest& request, WallMicros now);
 
   /// Shared implementation behind Enqueue and EnqueueBatch (pointer +
   /// count instead of a vector so the single-message wrapper needs no
@@ -254,11 +296,24 @@ class QueueManager : public QueueService {
   EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueSpan(
       const std::string& queue, const EnqueueRequest* requests, size_t count);
 
+  /// EnqueueDedupBatch over `count` (request, key) pairs; its per-key
+  /// fallback calls back in with count 1.
+  EDADB_NODISCARD Result<std::vector<std::optional<MessageId>>> DedupSpan(
+      const std::string& queue, const EnqueueRequest* requests,
+      const std::string* keys, size_t count);
+
   /// Effective groups for fanout (the implicit "" group when none
   /// registered).
   static std::vector<std::string> EffectiveGroups(const QueueState& state);
+  static bool IsEffectiveGroup(const QueueState& state,
+                               const std::string& group);
 
-  EDADB_NODISCARD Result<Message> LoadMessage(const std::string& queue, MessageId id) const;
+  EDADB_NODISCARD Result<Message> LoadMessage(const std::string& queue,
+                                              const QueueTables& tables,
+                                              MessageId id) const;
+
+  /// The message's priority (0 when its metadata is gone).
+  static int64_t PriorityOf(const QueueState& state, MessageId id);
 
   /// Rebuilds one queue's runtime from its tables (Attach path).
   EDADB_NODISCARD Status RebuildRuntimeLocked(const std::string& name, QueueState* state)
@@ -281,10 +336,12 @@ class QueueManager : public QueueService {
                     const std::string& group, MessageId id,
                     const std::string& reason) EDADB_REQUIRES(mu_);
 
-  /// Deletes one group's delivery row; when no group still holds a
-  /// delivery, the message row is removed too.
-  EDADB_NODISCARD Status FinishDelivery(const std::string& queue, QueueState* state,
-                        const std::string& group, MessageId id)
+  /// Deletes `group`'s delivery rows for `ids` in one transaction, with
+  /// the message row of each message no other group still holds. The
+  /// runtime follows only after the commit.
+  EDADB_NODISCARD Status FinishDeliveries(QueueState* state,
+                                          const std::string& group,
+                                          std::vector<MessageId> ids)
       EDADB_REQUIRES(mu_);
 
   Database* const db_;

@@ -78,17 +78,31 @@ class QueueService {
       const std::string& queue,
       const std::vector<EnqueueRequest>& requests) = 0;
 
-  /// Idempotent enqueue: stages the message and consumes `dedup_key` in
-  /// ONE transaction against the queue's own commit pipeline. A key can
-  /// only ever be consumed once — a retry after a crash that did commit
-  /// returns nullopt (already delivered; nothing enqueued) instead of a
-  /// second copy. This is the receiving half of the cross-shard handoff
-  /// protocol: the sender may die between the destination commit and its
-  /// own source-side ack, retry, and still produce exactly one visible
-  /// message.
-  EDADB_NODISCARD virtual Result<std::optional<MessageId>> EnqueueDedup(
+  /// Idempotent batch enqueue: stages `requests[i]` and consumes
+  /// `dedup_keys[i]` for every i in ONE transaction against the queue's
+  /// own commit pipeline. A key can only ever be consumed once — a retry
+  /// after a crash that did commit yields nullopt for that request
+  /// (already delivered; nothing enqueued) instead of a second copy.
+  /// When some key of the batch is already consumed, the requests are
+  /// staged key by key instead, so the fresh ones still go through.
+  /// This is the receiving half of the cross-shard handoff protocol: the
+  /// sender may die between the destination commit and its own
+  /// source-side ack, retry, and still produce exactly one visible
+  /// message per key.
+  EDADB_NODISCARD virtual Result<std::vector<std::optional<MessageId>>>
+  EnqueueDedupBatch(const std::string& queue,
+                    const std::vector<EnqueueRequest>& requests,
+                    const std::vector<std::string>& dedup_keys) = 0;
+
+  /// EnqueueDedupBatch of one request.
+  EDADB_NODISCARD Result<std::optional<MessageId>> EnqueueDedup(
       const std::string& queue, const EnqueueRequest& request,
-      const std::string& dedup_key) = 0;
+      const std::string& dedup_key) {
+    EDADB_ASSIGN_OR_RETURN(
+        std::vector<std::optional<MessageId>> ids,
+        EnqueueDedupBatch(queue, {request}, {dedup_key}));
+    return ids.front();
+  }
 
   EDADB_NODISCARD virtual Result<std::optional<Message>> Dequeue(
       const std::string& queue, const DequeueRequest& request) = 0;
@@ -99,9 +113,32 @@ class QueueService {
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) = 0;
 
-  EDADB_NODISCARD virtual Status Ack(const std::string& queue,
-                                     const std::string& group,
-                                     MessageId id) = 0;
+  /// Completes `group`'s consumption of every id in ONE transaction:
+  /// each delivery row is deleted, and so is the message row of every
+  /// message no other group still holds. All-or-nothing: an id the
+  /// group holds no delivery of fails the call before anything is
+  /// written. DurabilityUnknown (the WAL sync failed) still completed
+  /// the ack in this process: the messages are not redelivered.
+  EDADB_NODISCARD virtual Status AckBatch(
+      const std::string& queue, const std::string& group,
+      const std::vector<MessageId>& ids) = 0;
+
+  /// AckBatch of one id.
+  EDADB_NODISCARD Status Ack(const std::string& queue,
+                             const std::string& group, MessageId id) {
+    return AckBatch(queue, group, {id});
+  }
+
+  /// Hands dequeued messages back as if the dequeue never happened, in
+  /// ONE transaction: each lock is dropped and the delivery attempt the
+  /// dequeue counted is taken back, so max_deliveries is not charged. A
+  /// batch consumer that stops at a failing message releases the ones
+  /// after it, which it never tried. Ids whose lock already lapsed are
+  /// skipped.
+  EDADB_NODISCARD virtual Status Release(
+      const std::string& queue, const std::string& group,
+      const std::vector<MessageId>& ids) = 0;
+
   EDADB_NODISCARD virtual Status Nack(
       const std::string& queue, const std::string& group, MessageId id,
       TimestampMicros redeliver_delay_micros = 0) = 0;

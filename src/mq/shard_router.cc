@@ -135,6 +135,17 @@ Result<MessageId> ShardRouter::UntagId(size_t shard, MessageId id) const {
   return id & ((static_cast<MessageId>(1) << kShardTagShift) - 1);
 }
 
+Result<std::vector<MessageId>> ShardRouter::UntagIds(
+    size_t shard, const std::vector<MessageId>& ids) const {
+  std::vector<MessageId> raw;
+  raw.reserve(ids.size());
+  for (const MessageId id : ids) {
+    EDADB_ASSIGN_OR_RETURN(MessageId untagged, UntagId(shard, id));
+    raw.push_back(untagged);
+  }
+  return raw;
+}
+
 Status ShardRouter::CreateQueue(const std::string& name,
                                 QueueCreateOptions options) {
   size_t target = 0;
@@ -211,15 +222,17 @@ Result<std::vector<MessageId>> ShardRouter::EnqueueBatch(
   return ids;
 }
 
-Result<std::optional<MessageId>> ShardRouter::EnqueueDedup(
-    const std::string& queue, const EnqueueRequest& request,
-    const std::string& dedup_key) {
+Result<std::vector<std::optional<MessageId>>> ShardRouter::EnqueueDedupBatch(
+    const std::string& queue, const std::vector<EnqueueRequest>& requests,
+    const std::vector<std::string>& dedup_keys) {
   const size_t shard = ShardOf(queue);
   EDADB_ASSIGN_OR_RETURN(
-      std::optional<MessageId> id,
-      shards_[shard].queues->EnqueueDedup(queue, request, dedup_key));
-  if (!id.has_value()) return id;
-  return std::optional<MessageId>(TagId(shard, *id));
+      std::vector<std::optional<MessageId>> ids,
+      shards_[shard].queues->EnqueueDedupBatch(queue, requests, dedup_keys));
+  for (std::optional<MessageId>& id : ids) {
+    if (id.has_value()) *id = TagId(shard, *id);
+  }
+  return ids;
 }
 
 Result<std::optional<Message>> ShardRouter::Dequeue(
@@ -253,11 +266,19 @@ Result<std::optional<Message>> ShardRouter::DequeueWait(
   return message;
 }
 
-Status ShardRouter::Ack(const std::string& queue, const std::string& group,
-                        MessageId id) {
+Status ShardRouter::AckBatch(const std::string& queue,
+                             const std::string& group,
+                             const std::vector<MessageId>& ids) {
   const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(MessageId raw, UntagId(shard, id));
-  return shards_[shard].queues->Ack(queue, group, raw);
+  EDADB_ASSIGN_OR_RETURN(std::vector<MessageId> raw, UntagIds(shard, ids));
+  return shards_[shard].queues->AckBatch(queue, group, raw);
+}
+
+Status ShardRouter::Release(const std::string& queue, const std::string& group,
+                            const std::vector<MessageId>& ids) {
+  const size_t shard = ShardOf(queue);
+  EDADB_ASSIGN_OR_RETURN(std::vector<MessageId> raw, UntagIds(shard, ids));
+  return shards_[shard].queues->Release(queue, group, raw);
 }
 
 Status ShardRouter::Nack(const std::string& queue, const std::string& group,

@@ -74,9 +74,10 @@ class ShardRouter : public QueueService {
   EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueBatch(
       const std::string& queue,
       const std::vector<EnqueueRequest>& requests) override;
-  EDADB_NODISCARD Result<std::optional<MessageId>> EnqueueDedup(
-      const std::string& queue, const EnqueueRequest& request,
-      const std::string& dedup_key) override;
+  EDADB_NODISCARD Result<std::vector<std::optional<MessageId>>>
+  EnqueueDedupBatch(const std::string& queue,
+                    const std::vector<EnqueueRequest>& requests,
+                    const std::vector<std::string>& dedup_keys) override;
 
   EDADB_NODISCARD Result<std::optional<Message>> Dequeue(
       const std::string& queue, const DequeueRequest& request) override;
@@ -87,8 +88,12 @@ class ShardRouter : public QueueService {
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) override;
 
-  EDADB_NODISCARD Status Ack(const std::string& queue,
-                             const std::string& group, MessageId id) override;
+  EDADB_NODISCARD Status AckBatch(const std::string& queue,
+                                  const std::string& group,
+                                  const std::vector<MessageId>& ids) override;
+  EDADB_NODISCARD Status Release(const std::string& queue,
+                                 const std::string& group,
+                                 const std::vector<MessageId>& ids) override;
   EDADB_NODISCARD Status Nack(const std::string& queue,
                               const std::string& group, MessageId id,
                               TimestampMicros redeliver_delay_micros = 0)
@@ -127,6 +132,8 @@ class ShardRouter : public QueueService {
   /// passes raw (untagged) ids through unchanged.
   MessageId TagId(size_t shard, MessageId raw) const;
   EDADB_NODISCARD Result<MessageId> UntagId(size_t shard, MessageId id) const;
+  EDADB_NODISCARD Result<std::vector<MessageId>> UntagIds(
+      size_t shard, const std::vector<MessageId>& ids) const;
 
  private:
   explicit ShardRouter(Database* primary);

@@ -49,6 +49,16 @@ Result<std::vector<Field>> DecodeSchemaFields(std::string_view* input) {
   return fields;
 }
 
+void EncodeDmlPayload(LogRecordType type, TxnId txn_id, TableId table_id,
+                      RowId row_id, std::string_view old_row,
+                      std::string_view new_row, std::string* dst) {
+  PutVarint64(dst, txn_id);
+  PutVarint32(dst, table_id);
+  PutVarint64(dst, row_id);
+  if (type != LogRecordType::kInsert) PutLengthPrefixed(dst, old_row);
+  if (type != LogRecordType::kDelete) PutLengthPrefixed(dst, new_row);
+}
+
 std::string LogRecord::EncodePayload() const {
   std::string out;
   switch (type) {
@@ -58,23 +68,9 @@ std::string LogRecord::EncodePayload() const {
       PutVarint64(&out, txn_id);
       break;
     case LogRecordType::kInsert:
-      PutVarint64(&out, txn_id);
-      PutVarint32(&out, table_id);
-      PutVarint64(&out, row_id);
-      PutLengthPrefixed(&out, new_row);
-      break;
     case LogRecordType::kUpdate:
-      PutVarint64(&out, txn_id);
-      PutVarint32(&out, table_id);
-      PutVarint64(&out, row_id);
-      PutLengthPrefixed(&out, old_row);
-      PutLengthPrefixed(&out, new_row);
-      break;
     case LogRecordType::kDelete:
-      PutVarint64(&out, txn_id);
-      PutVarint32(&out, table_id);
-      PutVarint64(&out, row_id);
-      PutLengthPrefixed(&out, old_row);
+      EncodeDmlPayload(type, txn_id, table_id, row_id, old_row, new_row, &out);
       break;
     case LogRecordType::kCreateTable:
       PutVarint32(&out, table_id);

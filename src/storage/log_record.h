@@ -66,6 +66,14 @@ struct LogRecord {
   EDADB_NODISCARD static Result<LogRecord> Decode(uint8_t type, std::string_view payload);
 };
 
+/// Appends the payload of an Insert/Update/Delete record to `dst` —
+/// the format LogRecord::EncodePayload writes — straight from borrowed
+/// row bytes, so the commit path copies each encoded row once. Which
+/// of `old_row`/`new_row` is written depends on `type` (see LogRecord).
+void EncodeDmlPayload(LogRecordType type, TxnId txn_id, TableId table_id,
+                      RowId row_id, std::string_view old_row,
+                      std::string_view new_row, std::string* dst);
+
 /// Schema field list codec shared with checkpoints.
 void EncodeSchemaFields(const std::vector<Field>& fields, std::string* dst);
 EDADB_NODISCARD Result<std::vector<Field>> DecodeSchemaFields(std::string_view* input);

@@ -43,19 +43,19 @@ metrics::Histogram* GroupCommitBytes() {
   return h;
 }
 
-/// Builds the on-disk framing for one record.
-std::string FrameRecord(uint8_t type, std::string_view payload) {
-  std::string body;
-  body.reserve(1 + payload.size());
-  body.push_back(static_cast<char>(type));
-  body.append(payload);
-  const uint32_t crc = MaskCrc(Crc32c(body));
-  std::string frame;
-  frame.reserve(kWalHeaderSize + payload.size());
-  PutFixed32(&frame, crc);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(body);
-  return frame;
+/// Appends the on-disk framing for one record to `dst`: the body goes
+/// in place and the header is filled in behind it, so a batch is
+/// framed with no per-record buffers.
+void AppendFrame(uint8_t type, std::string_view payload, std::string* dst) {
+  const size_t start = dst->size();
+  dst->resize(start + kWalHeaderSize - 1);  // crc | len, filled below.
+  dst->push_back(static_cast<char>(type));
+  dst->append(payload);
+  const uint32_t crc = MaskCrc(
+      Crc32c(std::string_view(*dst).substr(start + kWalHeaderSize - 1)));
+  const auto len = static_cast<uint32_t>(payload.size());
+  std::memcpy(dst->data() + start, &crc, 4);  // Little-endian, as PutFixed32.
+  std::memcpy(dst->data() + start + 4, &len, 4);
 }
 
 enum class ParseResult { kOk, kIncomplete, kCorrupt };
@@ -202,6 +202,12 @@ Result<WalBatchResult> WalWriter::AppendBatch(
     // write(2) per segment touched; `tail` tracks the LSN the buffered
     // bytes extend to, and next_lsn_ only advances when they land.
     std::string buffer;
+    size_t framed_size = 0;
+    for (const WalRecordRef& record : records) {
+      framed_size += kWalHeaderSize + record.payload.size();
+    }
+    buffer.reserve(
+        std::min<uint64_t>(framed_size, options_.segment_size_bytes));
     Lsn tail = result.first_lsn;
     for (const WalRecordRef& record : records) {
       if (tail - current_segment_start_ >= options_.segment_size_bytes) {
@@ -213,7 +219,8 @@ Result<WalBatchResult> WalWriter::AppendBatch(
         }
         EDADB_RETURN_IF_ERROR(OpenNewSegment(tail));
       }
-      const std::string frame = FrameRecord(record.type, record.payload);
+      const size_t frame_start = buffer.size();
+      AppendFrame(record.type, record.payload, &buffer);
 #if EDADB_FAILPOINTS_ENABLED
       // Torn write: persist only the first `arg` bytes of this frame —
       // the on-disk shape a power cut mid-write leaves behind — then
@@ -222,15 +229,17 @@ Result<WalBatchResult> WalWriter::AppendBatch(
       if (failpoint::internal::AnyArmed()) {
         const failpoint::FireResult fp = failpoint::Fire("wal.append.torn");
         if (fp.fired) {
-          if (!buffer.empty()) {
-            EDADB_RETURN_IF_ERROR(current_->Append(buffer));
+          const std::string_view framed(buffer);
+          if (frame_start > 0) {
+            EDADB_RETURN_IF_ERROR(
+                current_->Append(framed.substr(0, frame_start)));
             next_lsn_.store(tail, std::memory_order_release);
             dirty_ = true;
           }
-          const size_t torn =
-              std::min(static_cast<size_t>(fp.arg), frame.size());
+          const size_t torn = std::min(static_cast<size_t>(fp.arg),
+                                       buffer.size() - frame_start);
           EDADB_RETURN_IF_ERROR(
-              current_->Append(std::string_view(frame).substr(0, torn)));
+              current_->Append(framed.substr(frame_start, torn)));
           if (fp.kind == failpoint::ActionKind::kCrash) {
             failpoint::Crash("wal.append.torn");
           }
@@ -239,8 +248,7 @@ Result<WalBatchResult> WalWriter::AppendBatch(
         }
       }
 #endif
-      buffer.append(frame);
-      tail += frame.size();
+      tail += buffer.size() - frame_start;
     }
     if (!buffer.empty()) {
       EDADB_RETURN_IF_ERROR(current_->Append(buffer));

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/random.h"
 #include "gtest/gtest.h"
 
 namespace edadb {
@@ -36,6 +37,28 @@ TEST(Crc32Test, MaskUnmaskRoundTrip) {
     EXPECT_EQ(UnmaskCrc(MaskCrc(crc)), crc);
     EXPECT_NE(MaskCrc(crc), crc);  // Masking must change the value.
   }
+}
+
+// The SSE4.2 path and the table path must agree bit for bit: a WAL
+// written on one host is read on another.
+TEST(Crc32Test, HardwareMatchesTable) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no CRC32C instruction on this CPU";
+  }
+  Random rng(0xC5C32);
+  std::string data(4096, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  for (int i = 0; i < 2000; ++i) {
+    const size_t offset = rng.Uniform(64);
+    const size_t length = rng.Uniform(data.size() - offset);
+    const auto seed = static_cast<uint32_t>(rng.Next());
+    const std::string_view piece =
+        std::string_view(data).substr(offset, length);
+    EXPECT_EQ(crc32c_internal::ExtendHardware(seed, piece),
+              crc32c_internal::ExtendTable(seed, piece))
+        << "offset=" << offset << " length=" << length;
+  }
+  EXPECT_EQ(crc32c_internal::ExtendHardware(0, "123456789"), 0xe3069283u);
 }
 
 }  // namespace

@@ -33,6 +33,8 @@ TEST(StatusTest, AllFactoriesProduceMatchingPredicates) {
   EXPECT_TRUE(Status::Aborted("x").IsAborted());
   EXPECT_TRUE(Status::TimedOut("x").IsTimedOut());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
+  EXPECT_TRUE(Status::DurabilityUnknown("x").IsDurabilityUnknown());
+  EXPECT_EQ(Status::DurabilityUnknown("x").ToString(), "DurabilityUnknown: x");
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {

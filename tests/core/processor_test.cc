@@ -1,5 +1,6 @@
 #include "core/processor.h"
 
+#include <set>
 #include <stdexcept>
 
 #include "common/failpoint.h"
@@ -380,6 +381,86 @@ TEST_F(ProcessorTest, CaptureIngestFailuresAreCountedNotSilentlyDropped) {
   stats = processor_->GetStats();
   EXPECT_EQ(stats.ingest_failures, 1u);
   EXPECT_EQ(stats.ingested, 1u);
+}
+
+// A staging failure surfaces: IngestBatch tries every destination queue,
+// re-stages a failed group event by event so only the poisoned event is
+// lost, counts each lost route, and returns the first error.
+TEST_F(ProcessorTest, StagingFailuresAreReturnedAndCounted) {
+  ASSERT_OK(processor_->queues()->CreateQueue("east_alerts"));
+  ASSERT_OK(processor_->queues()->CreateQueue("west_alerts"));
+  ASSERT_OK(processor_->rules()->AddRule(
+      "east", "region = 'east'", "queue:east_alerts"));
+  ASSERT_OK(processor_->rules()->AddRule(
+      "west", "region = 'west'", "queue:west_alerts"));
+
+  std::vector<Event> batch;
+  batch.push_back(MakeEvent("reading", 9, "east"));
+  batch.push_back(MakeEvent("reading", 9, "west"));
+  batch.push_back(MakeEvent("reading", 9, "east"));
+  // east_alerts stages first (its first event comes first): the group's
+  // one transaction fails, then the first per-event retry fails too.
+  failpoint::Action fault;
+  fault.max_fires = 2;
+  failpoint::Arm("mq.enqueue.before_commit", fault);
+  const Status ingested = processor_->IngestBatch(std::move(batch));
+  failpoint::DisarmAll();
+
+  EXPECT_TRUE(ingested.IsIOError()) << ingested;
+  EXPECT_EQ(*processor_->queues()->Depth("east_alerts", ""), 1u);
+  EXPECT_EQ(*processor_->queues()->Depth("west_alerts", ""), 1u);
+  const EventProcessor::Stats stats = processor_->GetStats();
+  EXPECT_EQ(stats.route_failures, 1u);
+  EXPECT_EQ(stats.routed_to_queues, 2u);
+  uint64_t exported = 0;
+  for (const metrics::MetricSnapshot& metric :
+       metrics::Registry::Default()->Snapshot()) {
+    if (metric.name == "core.route_failures") {
+      exported = static_cast<uint64_t>(metric.value);
+    }
+  }
+  EXPECT_GE(exported, 1u);
+
+  // Nothing armed: the same routes stage cleanly and report OK.
+  ASSERT_OK(processor_->Ingest(MakeEvent("reading", 9, "east")));
+  EXPECT_EQ(processor_->GetStats().route_failures, 1u);
+}
+
+// A group whose commit applied but whose WAL sync failed is not a
+// rollback. Staging it again event by event would stage every event
+// twice; instead the error is returned and, after a reopen, each event
+// is staged exactly once.
+TEST_F(ProcessorTest, FailedSyncIsNotRestaged) {
+  ASSERT_OK(processor_->queues()->CreateQueue("alerts"));
+  ASSERT_OK(processor_->rules()->AddRule("all", "severity >= 0",
+                                         "queue:alerts"));
+  std::vector<Event> batch;
+  for (int i = 1; i <= 3; ++i) {
+    batch.push_back(MakeEvent("reading", i));
+    batch.back().id = 100 + i;
+  }
+  failpoint::Action fault;
+  fault.max_fires = 1;
+  failpoint::Arm("wal.sync", fault);
+  const Status ingested = processor_->IngestBatch(std::move(batch));
+  failpoint::DisarmAll();
+  EXPECT_TRUE(ingested.IsDurabilityUnknown()) << ingested;
+  EXPECT_EQ(processor_->GetStats().route_failures, 3u);
+  // AFTER triggers fired for the applied commit: no reopen needed to
+  // see the messages.
+  EXPECT_EQ(*processor_->queues()->Depth("alerts", ""), 3u);
+
+  processor_.reset();
+  SetUp();
+  std::multiset<std::string> staged;
+  DequeueRequest dq;
+  for (;;) {
+    auto msg = processor_->queues()->Dequeue("alerts", dq);
+    ASSERT_OK(msg.status());
+    if (!msg->has_value()) break;
+    staged.insert((*msg)->correlation_id);
+  }
+  EXPECT_EQ(staged, (std::multiset<std::string>{"101", "102", "103"}));
 }
 #endif  // EDADB_FAILPOINTS_ENABLED
 

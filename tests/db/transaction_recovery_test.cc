@@ -1,8 +1,10 @@
 #include "db/database.h"
 
+#include "common/failpoint.h"
 #include "db/snapshot.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "testing/crash_harness.h"
 
 namespace edadb {
 namespace {
@@ -115,6 +117,65 @@ TEST(TransactionTest, IntraTxnUniqueViolationRejectsWholeTxn) {
   EXPECT_TRUE(txn->Commit().IsAlreadyExists());
   EXPECT_EQ(*db->CountRows("accounts"), 0u);  // Nothing applied.
 }
+
+// A failed WAL sync is not a rollback once the commit record landed:
+// the commit is applied, its AFTER triggers fire, recovery keeps it,
+// and the caller gets DurabilityUnknown. Under kEveryAppend each append
+// syncs, so a failure on the Begin+ops batch (no commit record yet)
+// still applies nothing.
+struct FailedSyncCase {
+  WalSyncPolicy sync;
+  uint64_t skip;  // wal.sync hits before the one that fails.
+  bool applied;
+};
+
+class FailedSyncTest : public ::testing::TestWithParam<FailedSyncCase> {};
+
+TEST_P(FailedSyncTest, CommitIsAppliedOnlyOnceItsRecordLanded) {
+  const FailedSyncCase& param = GetParam();
+  testing::FailpointGuard guard;
+  TempDir dir;
+  DatabaseOptions options = Opts(dir.path());
+  options.wal_sync_policy = param.sync;
+  const size_t rows = param.applied ? 1 : 0;
+  {
+    auto db = *Database::Open(options);
+    ASSERT_OK(db->CreateTable("accounts", AccountsSchema()));
+    int fired = 0;
+    TriggerDef def;
+    def.name = "after";
+    def.table = "accounts";
+    def.ops = kDmlInsert;
+    def.action = [&](const TriggerEvent&) {
+      ++fired;
+      return Status::OK();
+    };
+    ASSERT_OK(db->CreateTrigger(std::move(def)));
+
+    failpoint::Action fault;
+    fault.skip = param.skip;
+    fault.max_fires = 1;
+    failpoint::Arm("wal.sync", fault);
+    auto txn = db->BeginTransaction();
+    ASSERT_OK(txn->Insert("accounts", Account("a", 1)).status());
+    const Status committed = txn->Commit();
+    failpoint::DisarmAll();
+
+    EXPECT_FALSE(committed.ok());
+    EXPECT_EQ(committed.IsDurabilityUnknown(), param.applied) << committed;
+    EXPECT_EQ(CommitApplied(committed), param.applied);
+    EXPECT_EQ(*db->CountRows("accounts"), rows);
+    EXPECT_EQ(fired, static_cast<int>(rows));
+  }
+  auto db = *Database::Open(options);
+  EXPECT_EQ(*db->CountRows("accounts"), rows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, FailedSyncTest,
+    ::testing::Values(FailedSyncCase{WalSyncPolicy::kOnCommit, 0, true},
+                      FailedSyncCase{WalSyncPolicy::kEveryAppend, 0, false},
+                      FailedSyncCase{WalSyncPolicy::kEveryAppend, 1, true}));
 
 TEST(RecoveryTest, ReopenReplaysCommittedWork) {
   TempDir dir;

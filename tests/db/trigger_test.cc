@@ -167,6 +167,67 @@ TEST_F(TriggerTest, DeleteTriggerSeesOldRow) {
   EXPECT_EQ(deleted_sensor, "s1");
 }
 
+// The commit path skips trigger work on tables without triggers; a
+// trigger created on such a table must still fire from the next commit
+// on — even for a transaction prepared before the trigger existed.
+TEST_F(TriggerTest, TriggerOnQuietTableFiresFromNextCommit) {
+  ASSERT_OK(db_->Insert("readings", Reading("quiet", 1)).status());
+  auto txn = db_->BeginTransaction();
+  ASSERT_OK(txn->Insert("readings", Reading("prepared", 2)).status());
+
+  std::vector<std::string> fired;
+  TriggerDef def;
+  def.name = "late";
+  def.table = "readings";
+  def.timing = TriggerTiming::kAfter;
+  def.ops = kDmlInsert;
+  def.action = [&](const TriggerEvent& event) {
+    fired.push_back(event.new_row->Get("sensor")->string_value());
+    return Status::OK();
+  };
+  ASSERT_OK(db_->CreateTrigger(std::move(def)));
+  ASSERT_OK(txn->Commit());
+  ASSERT_OK(db_->Insert("readings", Reading("next", 3)).status());
+  EXPECT_EQ(fired, (std::vector<std::string>{"prepared", "next"}));
+
+  ASSERT_OK(db_->SetTriggerEnabled("late", false));
+  ASSERT_OK(db_->Insert("readings", Reading("disabled", 4)).status());
+  ASSERT_OK(db_->SetTriggerEnabled("late", true));
+  ASSERT_OK(db_->Insert("readings", Reading("enabled", 5)).status());
+  ASSERT_OK(db_->DropTrigger("late"));
+  ASSERT_OK(db_->Insert("readings", Reading("dropped", 6)).status());
+  EXPECT_EQ(fired,
+            (std::vector<std::string>{"prepared", "next", "enabled"}));
+}
+
+// Rows are decoded for triggers only when one exists; AFTER UPDATE and
+// AFTER DELETE triggers on a table with no index still see the old row.
+TEST_F(TriggerTest, AfterUpdateAndDeleteGetOldRowWithoutIndexes) {
+  std::vector<std::string> seen;
+  TriggerDef def;
+  def.name = "audit";
+  def.table = "readings";
+  def.timing = TriggerTiming::kAfter;
+  def.ops = kDmlUpdate | kDmlDelete;
+  def.action = [&](const TriggerEvent& event) {
+    std::string entry = std::string(DmlOpToString(event.op)) + " old=" +
+                        event.old_row->Get("sensor")->string_value();
+    if (event.new_row != nullptr) {
+      entry += " new=" + event.new_row->Get("sensor")->string_value();
+    }
+    seen.push_back(std::move(entry));
+    return Status::OK();
+  };
+  ASSERT_OK(db_->CreateTrigger(std::move(def)));
+  const RowId id = *db_->Insert("readings", Reading("a", 1));
+  auto txn = db_->BeginTransaction();
+  ASSERT_OK(txn->UpdateRow("readings", id, Reading("b", 2)));
+  ASSERT_OK(txn->Commit());
+  ASSERT_OK(db_->DeleteRow("readings", id));
+  EXPECT_EQ(seen, (std::vector<std::string>{"UPDATE old=a new=b",
+                                            "DELETE old=b"}));
+}
+
 TEST_F(TriggerTest, DisableAndDrop) {
   int fired = 0;
   TriggerDef def;

@@ -214,6 +214,66 @@ TEST(BatchEquivalenceTest, IngestBatchMatchesIngestLoop) {
   EXPECT_EQ(loop_stats.routed_to_queues, batch_stats.routed_to_queues);
 }
 
+// IngestBatch stages each destination queue's events with one
+// EnqueueBatch. Driven with 64-event batches over several destination
+// queues (an event may match more than one), every queue must end up
+// with the same messages, ids and attributes, in event order, as the
+// per-event Ingest loop leaves.
+TEST(BatchEquivalenceTest, IngestBatchStagesPerQueueInEventOrder) {
+  testing::SeededRng rng(/*stream=*/15);
+  // PipelineStack already routes severity >= 7 to "alerts"; "urgent" is
+  // created on first use by the route itself.
+  const std::vector<std::string> queues = {"north", "south", "alerts",
+                                           "urgent"};
+  auto open_stack = [&](PipelineStack* stack) {
+    RulesEngine* rules = stack->processor->rules();
+    EXPECT_OK(stack->processor->queues()->CreateQueue("north"));
+    EXPECT_OK(stack->processor->queues()->CreateQueue("south"));
+    EXPECT_OK(rules->AddRule("north", "region = 'north'", "queue:north"));
+    EXPECT_OK(rules->AddRule("south", "region = 'south'", "queue:south"));
+    EXPECT_OK(rules->AddRule("urgent", "severity >= 8", "queue:urgent"));
+  };
+  PipelineStack loop_stack, batch_stack;
+  open_stack(&loop_stack);
+  open_stack(&batch_stack);
+  uint64_t next_id = 1;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<Event> events;
+    for (size_t i = 0; i < 64; ++i) {
+      Event event = RandomEvent(&rng, next_id++);
+      event.Set("region", Value::String(rng.Uniform(3) == 0 ? "south"
+                                                            : "north"));
+      events.push_back(std::move(event));
+    }
+    for (const Event& event : events) {
+      ASSERT_OK(loop_stack.processor->Ingest(event));
+    }
+    ASSERT_OK(batch_stack.processor->IngestBatch(std::move(events)));
+  }
+
+  auto contents = [](PipelineStack* stack, const std::string& queue) {
+    std::vector<std::string> rows;
+    EXPECT_OK(stack->processor->queues()->Browse(
+        queue, "", [&](const Message& message) {
+          std::string attrs;
+          EncodeAttributes(message.attributes, &attrs);
+          rows.push_back(std::to_string(message.id) + "|" +
+                         message.correlation_id + "|" + message.payload +
+                         "|" + attrs);
+          return true;
+        }));
+    return rows;
+  };
+  for (const std::string& queue : queues) {
+    const std::vector<std::string> loop_rows = contents(&loop_stack, queue);
+    EXPECT_FALSE(loop_rows.empty()) << queue;
+    EXPECT_EQ(loop_rows, contents(&batch_stack, queue)) << queue;
+  }
+  EXPECT_EQ(loop_stack.processor->GetStats().routed_to_queues,
+            batch_stack.processor->GetStats().routed_to_queues);
+  EXPECT_EQ(batch_stack.processor->GetStats().route_failures, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Pubsub level: the live ring path vs the durable queue path. A ring
 // subscriber that never falls behind must observe the EXACT event

@@ -83,6 +83,8 @@ constexpr const char* kCrashSites[] = {
     "mq.enqueue_batch.mid",
     "mq.dequeue.before_lock_persist",
     "mq.ack.before_finish",
+    "mq.finish.before_commit",
+    "mq.finish.after_commit",
     "mq.handoff.before_commit",
     "mq.propagate.handoff",
 };

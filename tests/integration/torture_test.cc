@@ -16,8 +16,8 @@
 //   4. confirmed-enqueued, never-acked messages are redelivered
 //      at-least-once;
 //   5. depth accounting is conserved: after a full drain no message or
-//      delivery rows are left behind (this is what catches the
-//      orphaned-message-row bug in the ack path).
+//      delivery rows are left behind (an ack that deleted its two rows
+//      in separate transactions would strand message rows here).
 //
 // Everything derives from EDADB_TEST_SEED, so any failure reproduces
 // byte-for-byte from the seed printed on exit.
@@ -90,7 +90,8 @@ constexpr const char* kCrashSites[] = {
     "mq.enqueue_batch.mid",
     "mq.dequeue.before_lock_persist",
     "mq.ack.before_finish",
-    "mq.finish.after_dlv_delete",
+    "mq.finish.before_commit",
+    "mq.finish.after_commit",
     "mq.nack.before_persist",
 };
 constexpr size_t kNumCrashSites = sizeof(kCrashSites) / sizeof(kCrashSites[0]);
@@ -198,9 +199,8 @@ class TortureRig {
 
     // --- Queue: conservation before the drain -------------------------
     // Single consumer group, so every live message row must have
-    // exactly one delivery row. An orphaned message row (ack crashed
-    // between its two deletes) would break this — the reattach GC must
-    // have cleaned it up.
+    // exactly one delivery row. The ack deletes both in one
+    // transaction, so no crash may leave a message row behind.
     auto msg_rows = db_->CountRows("__q_q_msgs");
     auto dlv_rows = db_->CountRows("__q_q_dlv");
     ASSERT_OK(msg_rows.status());

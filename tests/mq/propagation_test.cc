@@ -1,7 +1,10 @@
 #include "mq/propagation.h"
 
+#include <map>
+
 #include "common/failpoint.h"
 #include "mq/queue_manager.h"
+#include "mq/shard_router.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -234,6 +237,191 @@ TEST_F(PropagationTest, InjectedExternalTimeoutUsesTimedOutStatus) {
   failpoint::DisarmAll();
   EXPECT_EQ(service.delivered_count(), 0u);
   EXPECT_EQ((*propagator_->GetStats("to_gateway")).failed, 1u);
+}
+
+TEST_F(PropagationTest, FilterDropsInsideABatch) {
+  PropagationRule rule;
+  rule.name = "critical_only";
+  rule.source_queue = "source";
+  rule.destination_queue = "dest";
+  rule.filter = *Predicate::Compile("severity >= 7");
+  ASSERT_OK(propagator_->AddRule(std::move(rule)));
+  std::vector<EnqueueRequest> requests;
+  for (int i = 0; i < 10; ++i) {
+    requests.push_back(Req("m" + std::to_string(i), i % 2 == 0 ? 9 : 2));
+  }
+  ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
+
+  EXPECT_EQ(*propagator_->RunOnce(), 5u);
+  const auto stats = *propagator_->GetStats("critical_only");
+  EXPECT_EQ(stats.forwarded, 5u);
+  EXPECT_EQ(stats.dropped, 5u);
+  EXPECT_EQ(stats.failed, 0u);
+  // Drops are consumed with the forwarded messages: the source is empty
+  // for good, rows included.
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_EQ(*queues_->Depth("source", ""), 0u);
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+  DequeueRequest dq;
+  for (int i = 0; i < 10; i += 2) {
+    auto msg = *queues_->Dequeue("dest", dq);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->payload, "m" + std::to_string(i));
+  }
+  EXPECT_FALSE(queues_->Dequeue("dest", dq)->has_value());
+}
+
+/// Fails the first delivery of one payload, accepts everything else.
+class FlakyOnce : public ExternalService {
+ public:
+  explicit FlakyOnce(std::string fail_payload)
+      : fail_payload_(std::move(fail_payload)) {}
+  const std::string& name() const override { return name_; }
+  Status Deliver(const Message& message) override {
+    if (message.payload == fail_payload_ && !failed_) {
+      failed_ = true;
+      return Status::TimedOut("gateway hiccup");
+    }
+    received.push_back(message);
+    return Status::OK();
+  }
+  std::vector<Message> received;
+
+ private:
+  const std::string name_ = "flaky-once";
+  const std::string fail_payload_;
+  bool failed_ = false;
+};
+
+TEST_F(PropagationTest, MidBatchFailureChargesOnlyWhatWasTried) {
+  FlakyOnce gateway("m3");
+  PropagationRule rule;
+  rule.name = "to_gateway";
+  rule.source_queue = "source";
+  rule.external = &gateway;
+  ASSERT_OK(propagator_->AddRule(std::move(rule)));
+  std::vector<EnqueueRequest> requests;
+  for (int i = 0; i < 6; ++i) requests.push_back(Req("m" + std::to_string(i)));
+  ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
+
+  // m0..m2 arrive, m3 fails, m4 and m5 are never tried.
+  EXPECT_EQ(*propagator_->RunOnce(), 3u);
+  auto stats = *propagator_->GetStats("to_gateway");
+  EXPECT_EQ(stats.forwarded, 3u);
+  EXPECT_EQ(stats.failed, 1u);
+  ASSERT_EQ(gateway.received.size(), 3u);
+  // The delivered prefix is acked; m3..m5 are deliverable right away.
+  EXPECT_EQ(*queues_->Depth("source", ""), 3u);
+
+  // Next pump: m3 comes back charged with its failed attempt, m4 and m5
+  // uncharged, and nothing from the prefix is delivered again.
+  EXPECT_EQ(*propagator_->RunOnce(), 3u);
+  ASSERT_EQ(gateway.received.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(gateway.received[static_cast<size_t>(i)].payload,
+              "m" + std::to_string(i));
+  }
+  EXPECT_EQ(gateway.received[3].delivery_count, 2);
+  EXPECT_EQ(gateway.received[4].delivery_count, 1);
+  EXPECT_EQ(gateway.received[5].delivery_count, 1);
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_EQ(*propagator_->RunOnce(), 0u);
+  EXPECT_EQ(gateway.received.size(), 6u);
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+}
+
+// The forwarded batch's commit applied but its WAL sync failed. That is
+// not a rollback, so the batch is not staged again message by message:
+// the destination holds exactly one copy of each.
+TEST_F(PropagationTest, FailedSyncOnForwardedBatchMovesItOnce) {
+  PropagationRule rule;
+  rule.name = "fwd";
+  rule.source_queue = "source";
+  rule.destination_queue = "dest";
+  ASSERT_OK(propagator_->AddRule(std::move(rule)));
+  std::vector<EnqueueRequest> requests;
+  for (int i = 0; i < 3; ++i) requests.push_back(Req("m" + std::to_string(i)));
+  ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
+
+  // Sync 1 persists the dequeue locks; sync 2 is the destination batch.
+  failpoint::Action fault;
+  fault.skip = 1;
+  fault.max_fires = 1;
+  failpoint::Arm("wal.sync", fault);
+  EXPECT_EQ(*propagator_->RunOnce(), 3u);
+  failpoint::DisarmAll();
+
+  EXPECT_EQ(*db_->CountRows("__q_dest_msgs"), 3u);
+  DequeueRequest dq;
+  for (int i = 0; i < 3; ++i) {
+    auto msg = *queues_->Dequeue("dest", dq);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->payload, "m" + std::to_string(i));
+  }
+  EXPECT_FALSE(queues_->Dequeue("dest", dq)->has_value());
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+}
+
+// A cross-shard batch in which one handoff key is already consumed (the
+// replay after a crash between the destination commit and the source
+// ack): the batch falls back key by key and exactly one copy of every
+// message reaches the destination.
+TEST(PropagationShardTest, ConsumedDedupKeyInBatchDeliversExactlyOnce) {
+  TempDir dir;
+  SimulatedClock clock(kMicrosPerHour);
+  DatabaseOptions options;
+  options.dir = dir.path();
+  options.wal_sync_policy = WalSyncPolicy::kNever;
+  options.clock = &clock;
+  auto db = *Database::Open(std::move(options));
+  auto router = *ShardRouter::Open(db.get(), 2);
+  auto name_on = [&](size_t shard, const std::string& stem) {
+    for (int i = 0;; ++i) {
+      const std::string name = stem + std::to_string(i);
+      if (router->HashShard(name) == shard) return name;
+    }
+  };
+  const std::string src = name_on(0, "src");
+  const std::string dst = name_on(1, "dst");
+  ASSERT_OK(router->CreateQueue(src));
+  ASSERT_OK(router->CreateQueue(dst));
+  Propagator propagator(router.get());
+  PropagationRule rule;
+  rule.name = "handoff";
+  rule.source_queue = src;
+  rule.destination_queue = dst;
+  ASSERT_OK(propagator.AddRule(std::move(rule)));
+
+  std::vector<MessageId> ids;
+  for (int i = 0; i < 5; ++i) {
+    EnqueueRequest request;
+    request.payload = "m" + std::to_string(i);
+    ids.push_back(*router->Enqueue(src, request));
+  }
+  // m2's handoff already committed on the destination.
+  EnqueueRequest replayed;
+  replayed.payload = "m2";
+  ASSERT_TRUE(router
+                  ->EnqueueDedup(dst, replayed,
+                                 "handoff\x01" + std::to_string(ids[2]))
+                  ->has_value());
+
+  EXPECT_EQ(*propagator.RunOnce(), 5u);
+  std::map<std::string, int> copies;
+  DequeueRequest dq;
+  for (;;) {
+    auto msg = *router->Dequeue(dst, dq);
+    if (!msg.has_value()) break;
+    ++copies[msg->payload];
+    ASSERT_OK(router->Ack(dst, "", msg->id));
+  }
+  ASSERT_EQ(copies.size(), 5u);
+  for (const auto& [payload, n] : copies) {
+    EXPECT_EQ(n, 1) << payload << " arrived " << n << " times";
+  }
+  EXPECT_EQ(*router->Depth(src, ""), 0u);
+  clock.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_EQ(*router->Depth(src, ""), 0u);
 }
 
 }  // namespace

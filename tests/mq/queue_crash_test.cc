@@ -1,8 +1,11 @@
 // Crash-window regressions for the queue persistence path, driven by
-// failpoints. The headline bug: FinishDelivery deletes the delivery row
-// and the message row in two separate auto-commit transactions, so a
-// crash between them used to strand a fully-acked message body on disk
-// forever. Reattach now garbage-collects such orphans.
+// failpoints. An ack deletes the delivery row and the message row in one
+// transaction, so a crash lands either before it (the message comes
+// back once) or after it (nothing comes back). Builds that used two
+// transactions could strand a fully acked message body on disk;
+// reattach still garbage-collects such orphans from their data dirs.
+// A failed WAL sync is not a crash: the commit stays applied, and the
+// runtime must follow it.
 
 #include <memory>
 #include <string>
@@ -24,10 +27,13 @@ using edadb::EnqueueRequest;
 using edadb::kMicrosPerHour;
 using edadb::kMicrosPerSecond;
 using edadb::QueueManager;
+using edadb::Record;
+using edadb::RecordBuilder;
 using edadb::SimulatedClock;
 using edadb::TempDir;
 using edadb::WalSyncPolicy;
 using edadb::testing::ArmCrash;
+using edadb::testing::ArmError;
 using edadb::testing::FailpointGuard;
 using edadb::testing::SimulatedCrash;
 
@@ -87,25 +93,108 @@ class QueueCrashTest : public ::testing::Test {
   DequeueRequest dq_;
 };
 
-TEST_F(QueueCrashTest, AckCrashBetweenDeletesIsRepairedOnReattach) {
+TEST_F(QueueCrashTest, AckCrashBeforeCommitRedeliversOnce) {
   ASSERT_OK(queues_->Enqueue("q", Req("acked")).status());
   auto msg = *queues_->Dequeue("q", dq_);
   ASSERT_TRUE(msg.has_value());
 
-  ArmCrash("mq.finish.after_dlv_delete");
+  ArmCrash("mq.finish.before_commit");
   CrashDuring([&] {
     EDADB_IGNORE_STATUS(queues_->Ack("q", "", msg->id),
                         "the armed crash fires before Ack returns");
   });
 
-  // The delivery row died before the crash; reattach must have GC'd the
-  // orphaned message body rather than leaking it forever.
-  EXPECT_EQ(0u, DlvRows());
-  EXPECT_EQ(0u, MsgRows()) << "orphaned message row leaked";
-  EXPECT_EQ(0u, *queues_->Depth("q", ""));
-
-  // And the acked message is never redelivered, even after timeouts.
+  // The ack never committed: both rows survive, the dequeue lock holds
+  // until the visibility timeout, then the message comes back once.
+  EXPECT_EQ(1u, MsgRows());
+  EXPECT_EQ(1u, DlvRows());
+  EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  auto redelivered = *queues_->Dequeue("q", dq_);
+  ASSERT_TRUE(redelivered.has_value());
+  EXPECT_EQ(redelivered->payload, "acked");
+  EXPECT_EQ(redelivered->delivery_count, 2);
+  ASSERT_OK(queues_->Ack("q", "", redelivered->id));
   clock_.AdvanceMicros(120 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
+  EXPECT_EQ(0u, MsgRows());
+  EXPECT_EQ(0u, DlvRows());
+}
+
+TEST_F(QueueCrashTest, AckCrashAfterCommitNeverRedelivers) {
+  ASSERT_OK(queues_->Enqueue("q", Req("acked")).status());
+  auto msg = *queues_->Dequeue("q", dq_);
+  ASSERT_TRUE(msg.has_value());
+
+  ArmCrash("mq.finish.after_commit");
+  CrashDuring([&] {
+    EDADB_IGNORE_STATUS(queues_->Ack("q", "", msg->id),
+                        "the armed crash fires before Ack returns");
+  });
+
+  // Both rows went in the one ack transaction; nothing comes back, even
+  // after the visibility timeout.
+  EXPECT_EQ(0u, DlvRows());
+  EXPECT_EQ(0u, MsgRows());
+  EXPECT_EQ(0u, *queues_->Depth("q", ""));
+  clock_.AdvanceMicros(120 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
+}
+
+// The ack's commit applied but its sync failed: the rows are gone, so
+// the runtime must forget the message too. Otherwise the lapsed lock
+// would put a deleted message back in the ready set, and every later
+// dequeue would fail to load it.
+TEST_F(QueueCrashTest, AckWithFailedSyncNeverRedelivers) {
+  ASSERT_OK(queues_->Enqueue("q", Req("acked")).status());
+  ASSERT_OK(queues_->Enqueue("q", Req("next")).status());
+  auto msg = *queues_->Dequeue("q", dq_);
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_EQ(msg->payload, "acked");
+
+  ArmError("wal.sync");
+  const edadb::Status acked = queues_->Ack("q", "", msg->id);
+  fp::DisarmAll();
+  EXPECT_TRUE(acked.IsDurabilityUnknown()) << acked;
+  EXPECT_EQ(1u, MsgRows());
+  EXPECT_EQ(1u, DlvRows());
+
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  auto next = queues_->Dequeue("q", dq_);
+  ASSERT_OK(next.status());
+  ASSERT_TRUE(next->has_value());
+  EXPECT_EQ((*next)->payload, "next");
+  ASSERT_OK(queues_->Ack("q", "", (*next)->id));
+  auto empty = queues_->Dequeue("q", dq_);
+  ASSERT_OK(empty.status());
+  EXPECT_FALSE(empty->has_value());
+  EXPECT_EQ(0u, MsgRows());
+  EXPECT_EQ(0u, DlvRows());
+}
+
+// Data dirs written by builds that acked in two transactions can hold a
+// message row whose last delivery row is gone. Reattach deletes it.
+TEST_F(QueueCrashTest, ReattachCollectsOrphanedMessageRow) {
+  ASSERT_OK(queues_->Enqueue("q", Req("kept")).status());
+  auto msgs = db_->GetTable("__q_q_msgs");
+  ASSERT_OK(msgs.status());
+  Record orphan = *RecordBuilder((*msgs)->schema())
+                       .SetTimestamp("enqueue_time", clock_.NowMicros())
+                       .SetTimestamp("visible_at", clock_.NowMicros())
+                       .SetTimestamp("expires_at", 0)
+                       .SetInt64("priority", 0)
+                       .SetString("payload", "orphan")
+                       .Build();
+  ASSERT_OK(db_->Insert("__q_q_msgs", std::move(orphan)).status());
+  ASSERT_EQ(2u, MsgRows());
+  ASSERT_EQ(1u, DlvRows());
+
+  Reopen();
+  EXPECT_EQ(1u, MsgRows()) << "orphaned message row survived reattach";
+  EXPECT_EQ(1u, DlvRows());
+  auto msg = *queues_->Dequeue("q", dq_);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, "kept");
   EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
 }
 
