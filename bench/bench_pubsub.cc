@@ -123,7 +123,8 @@ void BM_PublishGlobSubscriptions(benchmark::State& state) {
 BENCHMARK(BM_PublishGlobSubscriptions)->Arg(100)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
-/// Durable fanout: every delivery is a persistent enqueue.
+/// Durable fanout: every delivery is a persistent enqueue, all of one
+/// publication's in one transaction.
 void BM_PublishDurable(benchmark::State& state) {
   const int64_t subs = state.range(0);
   BrokerFixture fx;
@@ -145,6 +146,43 @@ void BM_PublishDurable(benchmark::State& state) {
   state.counters["subscriptions"] = static_cast<double>(subs);
 }
 BENCHMARK(BM_PublishDurable)->Arg(1)->Arg(8)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Durable fan-out round trip (§2.2.c.i, §2.2.d.i): each iteration
+/// publishes one publication to N durable subscribers, staged by one
+/// EnqueueFanout (one transaction), then drains every subscriber with
+/// Fetch, one REMOVE-mode dequeue (one transaction) per delivery.
+/// Items are deliveries.
+void BM_DurableFanoutFetch(benchmark::State& state) {
+  const int64_t subs = state.range(0);
+  BrokerFixture fx;
+  std::vector<std::string> ids;
+  for (int64_t i = 0; i < subs; ++i) {
+    SubscriptionSpec spec;
+    spec.subscriber = "worker" + std::to_string(i);
+    spec.topic_pattern = "jobs";
+    spec.durable = true;
+    auto id = fx.broker->Subscribe(std::move(spec));
+    if (!id.ok()) std::abort();
+    ids.push_back(*std::move(id));
+  }
+  Publication pub;
+  pub.topic = "jobs";
+  pub.payload = "durable fanout";
+  pub.attributes = {{"severity", Value::Int64(7)}};
+  for (auto _ : state) {
+    auto n = fx.broker->Publish(pub);
+    if (!n.ok() || *n != static_cast<size_t>(subs)) std::abort();
+    for (const std::string& id : ids) {
+      auto fetched = fx.broker->Fetch(id);
+      if (!fetched.ok() || !fetched->has_value()) std::abort();
+      benchmark::DoNotOptimize(fetched);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * subs);
+  state.counters["subscriptions"] = static_cast<double>(subs);
+}
+BENCHMARK(BM_DurableFanoutFetch)->Arg(1)->Arg(8)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
 
 /// Inline fan-out baseline for the live-feed scenario: N handler

@@ -8,7 +8,8 @@
 #      where the common/mutex.h annotations are machine-checked) and run
 #      the tier-1 ctest suite (-L tier1: fast, deterministic);
 #   3. EDADB_CHECK_STATUS build (unchecked-Status detector armed) and
-#      the status-discipline suite, including the abort death tests;
+#      the status-discipline suite, including the abort death tests,
+#      plus the db, mq, pubsub and core suites under the detector;
 #   4. rebuild with EDADB_SANITIZE=address;undefined and re-run the
 #      tier-1 suite so memory errors and UB fail the gate too;
 #   5. crash-recovery torture suite (-L torture) on the ASan build,
@@ -78,10 +79,14 @@ run_suite() {
 
 check_status_suite() {
   # Detector builds change Status's layout, so this is its own tree;
-  # only the library + common_test are built to keep the stage cheap.
+  # only the library and these suites are built to keep the stage
+  # cheap: common_test's death tests, plus the db, mq, pubsub and core
+  # suites run with the detector armed.
   cmake -B build-checkstatus -S . -DEDADB_CHECK_STATUS=ON >/dev/null
-  cmake --build build-checkstatus -j "$JOBS" --target common_test >/dev/null
-  (cd build-checkstatus && ctest --output-on-failure -R '^common_test$')
+  cmake --build build-checkstatus -j "$JOBS" \
+    --target common_test db_test mq_test pubsub_test core_test >/dev/null
+  (cd build-checkstatus && ctest --output-on-failure \
+    -R '^(common_test|db_test|mq_test|pubsub_test|core_test)$')
 }
 
 tidy_gate() {

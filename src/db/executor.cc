@@ -377,7 +377,9 @@ Result<QueryResult> Project(const Table& table, const Query& query,
 }  // namespace
 
 Result<std::string> Database::Explain(const Query& query) const {
-  EDADB_RETURN_IF_ERROR(query.build_error);
+  // Examined in place: the query carries the parse error as data, and
+  // the copy returned is what the caller now owes a look.
+  if (!query.build_error.ok()) return query.build_error;
   std::shared_lock lock(mu_);
   auto it = tables_.find(query.table);
   if (it == tables_.end()) {
@@ -411,7 +413,7 @@ Result<std::string> Database::Explain(const Query& query) const {
 }
 
 Result<QueryResult> Database::Execute(const Query& query) const {
-  EDADB_RETURN_IF_ERROR(query.build_error);
+  if (!query.build_error.ok()) return query.build_error;  // See Explain.
   std::shared_lock lock(mu_);
   auto it = tables_.find(query.table);
   if (it == tables_.end()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -128,6 +129,17 @@ Record DeliveryRecord(const SchemaPtr& schema, const std::string& group,
                          Value::Timestamp(visible_at.micros()),
                          Value::Timestamp(locked_until.micros()),
                          Value::Int64(delivery_count)});
+}
+
+/// Each request's attributes in their stored encoding, computed once
+/// however many queues the request is staged into.
+std::vector<std::string> EncodeAttributeLists(const EnqueueRequest* requests,
+                                              size_t count) {
+  std::vector<std::string> encoded(count);
+  for (size_t i = 0; i < count; ++i) {
+    EncodeAttributes(requests[i].attributes, &encoded[i]);
+  }
+  return encoded;
 }
 
 /// `ids` without repeats, so a batch never stages two ops on one row.
@@ -506,19 +518,88 @@ Result<std::vector<MessageId>> QueueManager::EnqueueSpan(
   metrics::LatencyScope latency(EnqueueLatency());
   // Resolving validates the queue even for an empty batch, so callers
   // get the same NotFound they would for a non-empty one.
-  EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
+  EDADB_ASSIGN_OR_RETURN(StagingTarget target, ResolveStaging(queue));
   std::vector<MessageId> ids;
   if (count == 0) return ids;
   ids.reserve(count);
+  std::vector<size_t> all(count);
+  std::iota(all.begin(), all.end(), size_t{0});
+  const std::vector<std::string> attrs = EncodeAttributeLists(requests, count);
+  const Destination dest{std::move(target), &all};
+  EDADB_RETURN_IF_ERROR(
+      StageAndCommit(requests, attrs.data(), &dest, 1, &ids));
+  return ids;
+}
+
+std::vector<Status> QueueManager::EnqueueFanout(
+    const std::vector<EnqueueRequest>& requests,
+    const std::vector<FanoutTarget>& targets) {
+  metrics::LatencyScope latency(EnqueueLatency());
+  std::vector<Status> outcomes(targets.size());
+  // dests[d] stages targets[target_of[d]]; a target that cannot be
+  // resolved fails alone and stages nothing.
+  std::vector<Destination> dests;
+  std::vector<size_t> target_of;
+  {
+    RecursiveMutexLock lock(&mu_);
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const FanoutTarget& target = targets[t];
+      for (const size_t i : target.requests) {
+        if (i >= requests.size()) {
+          outcomes[t] = Status::InvalidArgument(
+              "fan-out target '" + target.queue + "' names request " +
+              std::to_string(i) + " of " + std::to_string(requests.size()));
+          break;
+        }
+      }
+      if (!outcomes[t].ok()) continue;
+      Result<StagingTarget> resolved = ResolveStagingLocked(target.queue);
+      if (!resolved.ok()) {
+        outcomes[t] = std::move(resolved).status();
+        continue;
+      }
+      if (target.requests.empty()) continue;
+      dests.push_back({*std::move(resolved), &target.requests});
+      target_of.push_back(t);
+    }
+  }
+  if (dests.empty()) return outcomes;
+  const std::vector<std::string> attrs =
+      EncodeAttributeLists(requests.data(), requests.size());
+  const Status committed = StageAndCommit(requests.data(), attrs.data(),
+                                          dests.data(), dests.size(), nullptr);
+  if (!CommitApplied(committed) && dests.size() > 1) {
+    // Nothing applied: stage target by target, so a failing queue (one
+    // dropped since it was resolved, say) fails alone.
+    for (size_t d = 0; d < dests.size(); ++d) {
+      outcomes[target_of[d]] = StageAndCommit(requests.data(), attrs.data(),
+                                              &dests[d], 1, nullptr);
+    }
+    return outcomes;
+  }
+  for (const size_t t : target_of) outcomes[t] = committed;
+  return outcomes;
+}
+
+Status QueueManager::StageAndCommit(const EnqueueRequest* requests,
+                                    const std::string* attrs,
+                                    const Destination* dests,
+                                    size_t num_dests,
+                                    std::vector<MessageId>* ids) {
   const WallMicros now = clock_->WallNow();
   auto txn = db_->BeginTransaction();
-  for (size_t i = 0; i < count; ++i) {
-    // Crash between staged messages of a batch: the transaction never
-    // commits, so the whole batch must vanish (all-or-nothing).
-    if (i > 0) FAILPOINT("mq.enqueue_batch.mid");
-    EDADB_ASSIGN_OR_RETURN(
-        MessageId id, StageMessage(txn.get(), target, requests[i], now));
-    ids.push_back(id);
+  size_t staged = 0;
+  for (size_t d = 0; d < num_dests; ++d) {
+    for (const size_t i : *dests[d].requests) {
+      // Crash between staged messages of a batch: the transaction never
+      // commits, so the whole batch must vanish (all-or-nothing).
+      if (staged > 0) FAILPOINT("mq.enqueue_batch.mid");
+      EDADB_ASSIGN_OR_RETURN(MessageId id,
+                             StageMessage(txn.get(), dests[d].target,
+                                          requests[i], attrs[i], now));
+      if (ids != nullptr) ids->push_back(id);
+      ++staged;
+    }
   }
   // Ops staged but not committed: a crash here must lose the batch
   // entirely (no body rows, no delivery rows).
@@ -527,9 +608,9 @@ Result<std::vector<MessageId>> QueueManager::EnqueueSpan(
     metrics::LatencyScope commit_latency(shard_commit_latency_);
     EDADB_RETURN_IF_ERROR(txn->Commit());
   }
-  EnqueuedCounter()->Add(count);
-  if (shard_enqueues_ != nullptr) shard_enqueues_->Add(count);
-  return ids;
+  EnqueuedCounter()->Add(staged);
+  if (shard_enqueues_ != nullptr) shard_enqueues_->Add(staged);
+  return Status::OK();
 }
 
 Result<std::vector<std::optional<MessageId>>> QueueManager::EnqueueDedupBatch(
@@ -554,6 +635,7 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
   EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
   EDADB_ASSIGN_OR_RETURN(Table * ledger, db_->GetTable(kHandoffTable));
   const SchemaPtr ledger_schema = ledger->schema();
+  const std::vector<std::string> attrs = EncodeAttributeLists(requests, count);
   const WallMicros now = clock_->WallNow();
   std::vector<std::optional<MessageId>> ids;
   ids.reserve(count);
@@ -565,7 +647,8 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
                                            Value::Timestamp(now.micros())}))
             .status());
     EDADB_ASSIGN_OR_RETURN(
-        MessageId id, StageMessage(txn.get(), target, requests[i], now));
+        MessageId id,
+        StageMessage(txn.get(), target, requests[i], attrs[i], now));
     ids.emplace_back(id);
   }
   // Key rows + message + delivery rows commit atomically: a key is
@@ -599,9 +682,14 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
 
 Result<QueueManager::StagingTarget> QueueManager::ResolveStaging(
     const std::string& queue) {
+  RecursiveMutexLock lock(&mu_);
+  return ResolveStagingLocked(queue);
+}
+
+Result<QueueManager::StagingTarget> QueueManager::ResolveStagingLocked(
+    const std::string& queue) const {
   // Copied under mu_: DropQueue holds it across DropTable, so a
   // concurrent drop cannot free a table mid-read.
-  RecursiveMutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   const QueueState& state = it->second;
@@ -611,9 +699,8 @@ Result<QueueManager::StagingTarget> QueueManager::ResolveStaging(
 Result<MessageId> QueueManager::StageMessage(Transaction* txn,
                                              const StagingTarget& target,
                                              const EnqueueRequest& request,
+                                             const std::string& attrs,
                                              WallMicros now) {
-  std::string attrs;
-  EncodeAttributes(request.attributes, &attrs);
   const WallMicros visible_at = now + request.delay_micros;
   // MsgSchema() field order.
   Record msg_row(
@@ -623,7 +710,7 @@ Result<MessageId> QueueManager::StageMessage(Transaction* txn,
                             ? (now + request.ttl_micros).micros()
                             : 0),
        Value::Int64(request.priority), Value::String(request.correlation_id),
-       Value::String(std::move(attrs)), Value::String(request.payload)});
+       Value::String(attrs), Value::String(request.payload)});
   EDADB_ASSIGN_OR_RETURN(MessageId id,
                          txn->Insert(target.tables.msg_table,
                                      std::move(msg_row)));
@@ -641,7 +728,9 @@ Result<MessageId> QueueManager::EnqueueInTransaction(
     Transaction* txn, const std::string& queue,
     const EnqueueRequest& request) {
   EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
-  return StageMessage(txn, target, request, clock_->WallNow());
+  return StageMessage(txn, target, request,
+                      EncodeAttributeLists(&request, 1).front(),
+                      clock_->WallNow());
 }
 
 void QueueManager::OnMessageInserted(const std::string& queue, MessageId id,
@@ -878,6 +967,22 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
     out.push_back(std::move(message));
   }
   if (out.empty()) return out;
+
+  if (request.remove) {
+    // REMOVE mode: the dequeue is the consumption. Both rows go in one
+    // transaction, and the runtime follows only an applied commit, so
+    // on any other error the messages stay ready, uncharged.
+    std::vector<MessageId> ids;
+    ids.reserve(out.size());
+    for (const Message& message : out) ids.push_back(message.id);
+    const Status finished =
+        FinishDeliveries(&state, request.group, std::move(ids));
+    if (!CommitApplied(finished)) return finished;
+    DequeuedCounter()->Add(out.size());
+    AckCounter()->Add(out.size());
+    if (shard_dequeues_ != nullptr) shard_dequeues_->Add(out.size());
+    return out;
+  }
 
   // Lock every taken message for this group in one transaction. The
   // rows store the wall-domain deadline (recovery converts it back);

@@ -78,6 +78,13 @@ class QueueManager : public QueueService {
       const std::string& queue,
       const std::vector<EnqueueRequest>& requests) override;
 
+  /// Stages every target in ONE transaction through the staging loop
+  /// EnqueueBatch uses, encoding each request's attributes once however
+  /// many targets receive it (contract: QueueService::EnqueueFanout).
+  EDADB_NODISCARD std::vector<Status> EnqueueFanout(
+      const std::vector<EnqueueRequest>& requests,
+      const std::vector<FanoutTarget>& targets) override;
+
   /// Idempotent enqueue (see QueueService::EnqueueDedupBatch): one
   /// transaction consumes every key in the __handoff ledger (unique
   /// index) and stages the messages. A consumed key aborts that commit
@@ -112,6 +119,14 @@ class QueueManager : public QueueService {
   /// consumer can ack some of a batch, nack one and release the rest.
   /// Fewer than `max_messages` (possibly zero) are returned when the
   /// queue runs dry.
+  ///
+  /// With `request.remove` (AQ's REMOVE mode) nothing is locked: the
+  /// taken messages' delivery rows, and each message row no other group
+  /// holds, are deleted in ONE transaction (FinishDeliveries), and no
+  /// ack follows. Once that commit applied (OK or DurabilityUnknown) the
+  /// messages are returned and never delivered to the group again; on
+  /// any other error they stay ready and no delivery is charged. Taken
+  /// messages count as both dequeued and acked.
   EDADB_NODISCARD Result<std::vector<Message>> DequeueBatch(
       const std::string& queue, const DequeueRequest& request,
       size_t max_messages) override;
@@ -260,6 +275,13 @@ class QueueManager : public QueueService {
     std::vector<std::string> groups;
   };
 
+  /// One queue of a staging transaction, and the indexes of the
+  /// requests it receives, in order.
+  struct Destination {
+    StagingTarget target;
+    const std::vector<size_t>* requests = nullptr;
+  };
+
   static std::string MsgTableName(const std::string& queue);
   static std::string DelivTableName(const std::string& queue);
 
@@ -284,11 +306,26 @@ class QueueManager : public QueueService {
 
   EDADB_NODISCARD Result<StagingTarget> ResolveStaging(
       const std::string& queue);
+  EDADB_NODISCARD Result<StagingTarget> ResolveStagingLocked(
+      const std::string& queue) const EDADB_REQUIRES(mu_);
 
   /// Inserts one message row plus a delivery row per group into `txn`.
+  /// `attrs` is the request's attributes, already encoded.
   EDADB_NODISCARD static Result<MessageId> StageMessage(
       Transaction* txn, const StagingTarget& target,
-      const EnqueueRequest& request, WallMicros now);
+      const EnqueueRequest& request, const std::string& attrs,
+      WallMicros now);
+
+  /// The staging loop behind EnqueueBatch and EnqueueFanout: stages
+  /// every destination's requests in ONE transaction and commits it.
+  /// `attrs[i]` is requests[i]'s encoded attributes. Appends the staged
+  /// ids, in staging order, to `ids` when it is not null. Returns the
+  /// commit's status.
+  EDADB_NODISCARD Status StageAndCommit(const EnqueueRequest* requests,
+                                        const std::string* attrs,
+                                        const Destination* dests,
+                                        size_t num_dests,
+                                        std::vector<MessageId>* ids);
 
   /// Shared implementation behind Enqueue and EnqueueBatch (pointer +
   /// count instead of a vector so the single-message wrapper needs no

@@ -42,6 +42,19 @@ struct DequeueRequest {
   /// Optional selector over MessageView attributes, e.g.
   /// "severity >= 3 AND region = 'east'".
   std::optional<Predicate> selector;
+  /// REMOVE mode (AQ's consume-on-read dequeue): the taken messages are
+  /// consumed by the dequeue itself, in ONE transaction, instead of
+  /// being locked for a later ack. Nothing is locked and no ack
+  /// follows. A crash before that commit leaves the messages for the
+  /// next dequeue; once it applied they are never delivered again.
+  bool remove = false;
+};
+
+/// One destination of QueueService::EnqueueFanout: a queue, and the
+/// indexes of the requests it receives, in staging order.
+struct FanoutTarget {
+  std::string queue;
+  std::vector<size_t> requests;
 };
 
 /// The staging-area surface shared by the single-domain QueueManager and
@@ -78,6 +91,19 @@ class QueueService {
       const std::string& queue,
       const std::vector<EnqueueRequest>& requests) = 0;
 
+  /// Stages the same requests into many queues (the broker's durable
+  /// fan-out): every target whose queue lives on one shard is staged in
+  /// ONE transaction, so a fan-out costs one commit per shard rather
+  /// than one per queue. Returns one outcome per target, in target
+  /// order. A missing queue (say, dropped by a concurrent Unsubscribe)
+  /// fails its target alone. When a shard's transaction fails without
+  /// applying, its targets are staged one at a time, so a failing queue
+  /// fails alone; one that applied (DurabilityUnknown) is never staged
+  /// twice, and each of its targets reports that status.
+  EDADB_NODISCARD virtual std::vector<Status> EnqueueFanout(
+      const std::vector<EnqueueRequest>& requests,
+      const std::vector<FanoutTarget>& targets) = 0;
+
   /// Idempotent batch enqueue: stages `requests[i]` and consumes
   /// `dedup_keys[i]` for every i in ONE transaction against the queue's
   /// own commit pipeline. A key can only ever be consumed once — a retry
@@ -104,6 +130,9 @@ class QueueService {
     return ids.front();
   }
 
+  /// Dequeue and DequeueBatch lock what they take for a later
+  /// ack/nack/release, or, with `request.remove`, consume it at once:
+  /// see QueueManager::DequeueBatch.
   EDADB_NODISCARD virtual Result<std::optional<Message>> Dequeue(
       const std::string& queue, const DequeueRequest& request) = 0;
   EDADB_NODISCARD virtual Result<std::vector<Message>> DequeueBatch(

@@ -235,6 +235,35 @@ Result<std::vector<std::optional<MessageId>>> ShardRouter::EnqueueDedupBatch(
   return ids;
 }
 
+std::vector<Status> ShardRouter::EnqueueFanout(
+    const std::vector<EnqueueRequest>& requests,
+    const std::vector<FanoutTarget>& targets) {
+  if (shards_.size() == 1) {
+    return shards_.front().queues->EnqueueFanout(requests, targets);
+  }
+  std::vector<std::vector<size_t>> by_shard(shards_.size());
+  {
+    MutexLock lock(&mu_);
+    for (size_t t = 0; t < targets.size(); ++t) {
+      by_shard[ShardOfLocked(targets[t].queue)].push_back(t);
+    }
+  }
+  std::vector<Status> outcomes(targets.size());
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    const std::vector<size_t>& mine = by_shard[shard];
+    if (mine.empty()) continue;
+    std::vector<FanoutTarget> shard_targets;
+    shard_targets.reserve(mine.size());
+    for (const size_t t : mine) shard_targets.push_back(targets[t]);
+    std::vector<Status> shard_outcomes =
+        shards_[shard].queues->EnqueueFanout(requests, shard_targets);
+    for (size_t k = 0; k < mine.size(); ++k) {
+      outcomes[mine[k]] = std::move(shard_outcomes[k]);
+    }
+  }
+  return outcomes;
+}
+
 Result<std::optional<Message>> ShardRouter::Dequeue(
     const std::string& queue, const DequeueRequest& request) {
   const size_t shard = ShardOf(queue);

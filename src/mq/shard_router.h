@@ -78,6 +78,12 @@ class ShardRouter : public QueueService {
   EnqueueDedupBatch(const std::string& queue,
                     const std::vector<EnqueueRequest>& requests,
                     const std::vector<std::string>& dedup_keys) override;
+  /// Splits the targets by owning shard and makes one
+  /// QueueManager::EnqueueFanout call per shard: one transaction per
+  /// shard touched.
+  EDADB_NODISCARD std::vector<Status> EnqueueFanout(
+      const std::vector<EnqueueRequest>& requests,
+      const std::vector<FanoutTarget>& targets) override;
 
   EDADB_NODISCARD Result<std::optional<Message>> Dequeue(
       const std::string& queue, const DequeueRequest& request) override;

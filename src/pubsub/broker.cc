@@ -1,6 +1,7 @@
 #include "pubsub/broker.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -26,6 +27,14 @@ metrics::Histogram* PublishLatency() {
   static metrics::Histogram* const h =
       metrics::Registry::Default()->GetHistogram("pubsub.publish.latency_us");
   return h;
+}
+
+/// (publication, durable subscriber) deliveries that could not be
+/// staged.
+metrics::Counter* DeliveryFailuresCounter() {
+  static metrics::Counter* const c =
+      metrics::Registry::Default()->GetCounter("pubsub.delivery_failures");
+  return c;
 }
 
 metrics::Counter* HandlerErrorsCounter() {
@@ -137,6 +146,8 @@ Result<std::unique_ptr<Broker>> Broker::Attach(Database* db,
                                                EventRingOptions ring_options) {
   auto broker =
       std::unique_ptr<Broker>(new Broker(db, queues, ring_options));
+  // Registered up front, so __metrics shows the count before any loss.
+  DeliveryFailuresCounter();
   broker->live_collector_ = metrics::Registry::Default()->RegisterCollector(
       [b = broker.get()](std::vector<metrics::MetricSnapshot>* out) {
         b->CollectLiveMetrics(out);
@@ -388,14 +399,14 @@ Result<size_t> Broker::PublishSpan(const Publication* pubs, size_t count) {
   }
 
   // Match the whole batch under ONE lock; deliveries happen outside it.
-  // Durable targets are grouped by destination queue so each queue gets
-  // its matches in one EnqueueBatch (batched fan-out); non-durable
-  // handler targets are copied out and invoked in publication order.
-  std::map<std::string, std::vector<size_t>> durable_pub_indices;  // By queue.
-  std::map<std::string, std::string> durable_subscriber;           // By queue.
+  // Each durable subscription is one fan-out target holding its matches
+  // in publication order; non-durable handler targets are copied out and
+  // invoked in publication order.
+  std::vector<FanoutTarget> durable_targets;
   std::vector<std::pair<std::shared_ptr<SubscriptionState>, size_t>>
       inline_targets;
   {
+    std::unordered_map<const SubscriptionState*, size_t> target_of;
     MutexLock lock(&mu_);
     std::vector<PublicationView> views;
     views.reserve(count);
@@ -411,8 +422,10 @@ Result<size_t> Broker::PublishSpan(const Publication* pubs, size_t count) {
         if (it == subscriptions_.end()) continue;
         const std::shared_ptr<SubscriptionState>& sub = it->second;
         if (sub->spec.durable) {
-          durable_pub_indices[sub->queue].push_back(i);
-          durable_subscriber[sub->queue] = sub->spec.subscriber;
+          const auto [target, added] =
+              target_of.emplace(sub.get(), durable_targets.size());
+          if (added) durable_targets.push_back(FanoutTarget{sub->queue, {}});
+          durable_targets[target->second].requests.push_back(i);
         } else {
           inline_targets.emplace_back(sub, i);
         }
@@ -421,20 +434,28 @@ Result<size_t> Broker::PublishSpan(const Publication* pubs, size_t count) {
   }
 
   size_t delivered = 0;
-  for (const auto& [queue, indices] : durable_pub_indices) {
-    std::vector<EnqueueRequest> requests(indices.size());
-    for (size_t j = 0; j < indices.size(); ++j) {
-      PublicationToEnqueueRequest(pubs[indices[j]], &requests[j]);
+  if (!durable_targets.empty()) {
+    // One request per publication, staged into every matching
+    // subscription queue by one fan-out: one transaction per shard.
+    std::vector<EnqueueRequest> requests(count);
+    for (size_t i = 0; i < count; ++i) {
+      PublicationToEnqueueRequest(pubs[i], &requests[i]);
     }
-    const auto enqueued = queues_->EnqueueBatch(queue, requests);
-    if (enqueued.ok()) {
-      delivered += indices.size();
-    } else {
-      EDADB_LOG(Warn) << "delivery of " << indices.size()
-                      << " publication(s) to subscriber '"
-                      << durable_subscriber[queue]
-                      << "' failed: " << enqueued.status();
+    const std::vector<Status> outcomes =
+        queues_->EnqueueFanout(requests, durable_targets);
+    size_t failed = 0;
+    for (size_t t = 0; t < durable_targets.size(); ++t) {
+      const size_t n = durable_targets[t].requests.size();
+      if (outcomes[t].ok()) {
+        delivered += n;
+        continue;
+      }
+      failed += n;
+      EDADB_LOG(Warn) << "delivery of " << n
+                      << " publication(s) to subscription queue '"
+                      << durable_targets[t].queue << "' failed: " << outcomes[t];
     }
+    DeliveryFailuresCounter()->Add(failed);
   }
   for (const auto& [sub, index] : inline_targets) {
     // Re-check per delivery: a concurrent Unsubscribe clears the flag,
@@ -455,6 +476,9 @@ Result<size_t> Broker::PublishSpan(const Publication* pubs, size_t count) {
 
 Result<std::optional<Publication>> Broker::Fetch(
     const std::string& subscription_id) {
+  DequeueRequest request;
+  request.remove = true;
+  std::string queue;
   {
     MutexLock lock(&mu_);
     auto it = subscriptions_.find(subscription_id);
@@ -466,14 +490,11 @@ Result<std::optional<Publication>> Broker::Fetch(
           "subscription '" + subscription_id +
           "' is not durable; messages are delivered to its handler");
     }
+    queue = it->second->queue;
   }
-  DequeueRequest request;
-  EDADB_ASSIGN_OR_RETURN(
-      std::optional<Message> message,
-      queues_->Dequeue(SubQueueName(subscription_id), request));
+  EDADB_ASSIGN_OR_RETURN(std::optional<Message> message,
+                         queues_->Dequeue(queue, request));
   if (!message.has_value()) return std::optional<Publication>();
-  EDADB_RETURN_IF_ERROR(
-      queues_->Ack(SubQueueName(subscription_id), "", message->id));
   return std::optional<Publication>(MessageToPublication(*message));
 }
 

@@ -185,18 +185,26 @@ class Broker {
   EDADB_NODISCARD Result<size_t> Publish(const Publication& pub);
 
   /// Batched fan-out: matches every publication under ONE matcher lock,
-  /// then groups deliveries per durable subscription so each
-  /// subscription queue receives all its matches in one EnqueueBatch —
-  /// one transaction and one WAL barrier per (queue, batch) instead of
-  /// per (queue, publication). Non-durable handlers are invoked per
-  /// publication, in publication order. Returns total (publication,
-  /// subscription) deliveries.
+  /// builds one queue request per publication, and stages every durable
+  /// delivery with one QueueService::EnqueueFanout — one transaction per
+  /// shard for the whole batch, whatever the number of matching
+  /// subscriptions. Each subscription queue receives its matches in
+  /// publication order. When a shard's transaction fails without
+  /// applying, its subscriptions are staged one by one, so a failing
+  /// queue (say, one dropped under the broker) fails alone. Non-durable
+  /// handlers are invoked per publication, in publication order.
+  /// Returns the (publication, subscription) deliveries made; a durable
+  /// one that could not be staged is left out, logged and counted in
+  /// `pubsub.delivery_failures`.
   EDADB_NODISCARD Result<size_t> PublishBatch(
       const std::vector<Publication>& pubs);
 
   /// Pops the next buffered publication of a durable subscription
-  /// (nullopt when drained). Delivery is at-least-once; the message is
-  /// acked on successful decode.
+  /// (nullopt when drained) with one REMOVE-mode dequeue: the
+  /// publication is consumed in the dequeue's own transaction, and no
+  /// ack follows. A crash before that commit leaves the publication for
+  /// the next Fetch; after it, the publication is never fetched again
+  /// (a crash before the caller has used it loses it).
   EDADB_NODISCARD Result<std::optional<Publication>> Fetch(
       const std::string& subscription_id);
 

@@ -4,18 +4,22 @@
 // through EnqueueBatch/PublishBatch/IngestBatch — and must end in the
 // same state: same queue contents and message ids, same rule-match
 // sequence, same per-subscriber delivery order, same drain order.
+// Durable fan-out is also held to it across 1 and 4 delivery shards.
 // (The one intended difference: within an ingest batch, every rule
 // handler runs before any action routing, so cross-channel
 // interleaving is not compared — per-channel sequences are.)
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/processor.h"
 #include "gtest/gtest.h"
 #include "mq/queue_manager.h"
+#include "mq/shard_router.h"
 #include "pubsub/broker.h"
 #include "test_util.h"
 #include "testing/seeded_rng.h"
@@ -375,6 +379,114 @@ TEST(BatchEquivalenceTest, RingSubscriberMatchesDurableAcksSingleShot) {
 
 TEST(BatchEquivalenceTest, RingSubscriberMatchesDurableAcksBatch) {
   RunRingVsDurableEquivalence(/*use_batch=*/true, /*stream=*/14);
+}
+
+// ---------------------------------------------------------------------
+// Durable fan-out: PublishBatch stages every durable delivery of the
+// batch with one EnqueueFanout, one transaction per shard. Every
+// durable subscriber must fetch exactly the sequence a Publish loop
+// leaves it, and the one its topic pattern and filter select, whether
+// its queue shares a shard with the others or not.
+
+constexpr int kFanoutSubs = 12;
+
+/// Durable subscription i: topic "jobs", "noise/*" or any, with
+/// `severity >= MinSeverity(i)`.
+int MinSeverity(int i) { return i % 4 * 2; }
+
+bool Selects(int i, const Publication& pub) {
+  const bool topic = i % 3 == 0   ? pub.topic == "jobs"
+                     : i % 3 == 1 ? pub.topic.rfind("noise/", 0) == 0
+                                  : true;
+  return topic && pub.attributes.at(0).second.int64_value() >= MinSeverity(i);
+}
+
+struct ShardedBrokerStack {
+  TempDir dir;
+  std::unique_ptr<Database> db;
+  std::unique_ptr<ShardRouter> queues;
+  std::unique_ptr<Broker> broker;
+  std::vector<std::string> durable_ids;
+
+  explicit ShardedBrokerStack(size_t shards) {
+    DatabaseOptions options;
+    options.dir = dir.path();
+    options.wal_sync_policy = WalSyncPolicy::kNever;
+    db = *Database::Open(std::move(options));
+    queues = *ShardRouter::Open(db.get(), shards);
+    broker = *Broker::Attach(db.get(), queues.get());
+    const char* patterns[] = {"jobs", "noise/*", ""};
+    for (int i = 0; i < kFanoutSubs; ++i) {
+      SubscriptionSpec spec;
+      spec.subscriber = "durable-" + std::to_string(i);
+      spec.topic_pattern = patterns[i % 3];
+      spec.content_filter = "severity >= " + std::to_string(MinSeverity(i));
+      spec.durable = true;
+      durable_ids.push_back(*broker->Subscribe(std::move(spec)));
+    }
+  }
+
+  std::vector<std::vector<std::string>> FetchAll() {
+    std::vector<std::vector<std::string>> fetched;
+    for (const std::string& id : durable_ids) {
+      std::vector<std::string> seq;
+      while (true) {
+        auto pub = broker->Fetch(id);
+        EXPECT_OK(pub.status());
+        if (!pub.ok() || !pub->has_value()) break;
+        seq.push_back(PubKey(**pub));
+      }
+      fetched.push_back(std::move(seq));
+    }
+    return fetched;
+  }
+};
+
+void RunDurableFanoutEquivalence(size_t shards, uint64_t stream) {
+  testing::SeededRng rng(stream);
+  ShardedBrokerStack loop_stack(shards), batch_stack(shards);
+  std::set<size_t> shards_used;
+  for (const std::string& id : batch_stack.durable_ids) {
+    shards_used.insert(batch_stack.queues->ShardOf("__sub_" + id));
+  }
+  if (shards > 1) {
+    ASSERT_GT(shards_used.size(), 1u) << "every queue landed on one shard";
+  }
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  std::vector<std::vector<std::string>> want(kFanoutSubs);
+  for (int round = 0; round < 10; ++round) {
+    const size_t batch = 1 + rng.Uniform(8);
+    std::vector<Publication> pubs;
+    for (size_t i = 0; i < batch; ++i) {
+      pubs.push_back(RandomPublication(&rng, rng.Uniform(2) == 0));
+      for (int sub = 0; sub < kFanoutSubs; ++sub) {
+        if (Selects(sub, pubs.back())) want[sub].push_back(PubKey(pubs.back()));
+      }
+    }
+    size_t loop_delivered = 0;
+    for (const Publication& pub : pubs) {
+      loop_delivered += *loop_stack.broker->Publish(pub);
+    }
+    const uint64_t commits_before = commits->Value();
+    auto batch_delivered = batch_stack.broker->PublishBatch(pubs);
+    ASSERT_OK(batch_delivered.status());
+    EXPECT_EQ(loop_delivered, *batch_delivered) << "round " << round;
+    // One transaction per shard the batch's deliveries touch.
+    EXPECT_LE(commits->Value() - commits_before, shards_used.size())
+        << "round " << round;
+  }
+  for (const auto& seq : want) EXPECT_FALSE(seq.empty());
+  EXPECT_EQ(loop_stack.FetchAll(), want);
+  EXPECT_EQ(batch_stack.FetchAll(), want);
+}
+
+TEST(BatchEquivalenceTest, DurableFanoutMatchesPublishLoopOneShard) {
+  RunDurableFanoutEquivalence(/*shards=*/1, /*stream=*/16);
+}
+
+TEST(BatchEquivalenceTest, DurableFanoutMatchesPublishLoopFourShards) {
+  RunDurableFanoutEquivalence(/*shards=*/4, /*stream=*/17);
 }
 
 }  // namespace

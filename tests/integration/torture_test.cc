@@ -1,7 +1,8 @@
 // Crash-recovery torture harness (the tentpole of the failpoint layer).
 //
 // Each schedule runs a randomized workload of inserts, multi-op
-// transactions, enqueues, dequeues, acks, nacks and checkpoints against
+// transactions, enqueues, dequeues (some in REMOVE mode, which consume
+// as they take), acks, nacks and checkpoints against
 // a real Database + QueueManager with ONE failpoint armed to simulate a
 // process crash. The "kill" is a SimulatedCrash exception thrown by the
 // test crash handler: it unwinds out of the library (which never
@@ -380,6 +381,10 @@ class TortureRig {
   }
 
   void DequeueOne(Random* rng, Oracle* oracle) {
+    if (rng->Uniform(4) == 0) {
+      RemoveOne(oracle);
+      return;
+    }
     DequeueRequest dq;
     auto m = queues_->Dequeue("q", dq);
     if (!m.ok() || !m->has_value()) return;
@@ -399,6 +404,33 @@ class TortureRig {
     }
     // else: consumer "walks away" holding the lock; the visibility
     // timeout must eventually redeliver.
+  }
+
+  /// A REMOVE-mode dequeue consumes what it takes in its own commit, so
+  /// it is an ack: the message it will take (the first one Browse
+  /// shows, since this rig is single-threaded and keeps the dead-letter
+  /// queue out) is ack-uncertain for the call, and ack-confirmed once
+  /// the call returns it.
+  void RemoveOne(Oracle* oracle) {
+    int64_t next = -1;
+    const auto first = [&](const edadb::Message& message) {
+      next = std::stoll(message.payload);
+      return false;  // Only the first one.
+    };
+    if (!queues_->Browse("q", "", first).ok() || next < 0) return;
+    oracle->ack_uncertain.insert(next);
+    DequeueRequest dq;
+    dq.remove = true;
+    auto m = queues_->Dequeue("q", dq);
+    // Armed sites only crash, and a crash never returns here.
+    EXPECT_TRUE(m.ok() && m->has_value())
+        << "REMOVE dequeue came back empty; Browse showed message " << next;
+    if (!m.ok() || !m->has_value()) return;
+    const int64_t mid = std::stoll((*m)->payload);
+    EXPECT_EQ(next, mid) << "REMOVE dequeue took another message than "
+                            "Browse showed first";
+    oracle->ack_uncertain.erase(mid);
+    oracle->ack_confirmed.insert(mid);
   }
 
   TempDir dir_;

@@ -1,6 +1,6 @@
-// EnqueueBatch / DequeueBatch coverage: id assignment, all-or-nothing
-// atomicity, max_messages bounds, and equivalence with the single-shot
-// wrappers.
+// EnqueueBatch / DequeueBatch / EnqueueFanout coverage: id assignment,
+// all-or-nothing atomicity, max_messages bounds, per-target fan-out
+// outcomes, and equivalence with the single-shot wrappers.
 
 #include "mq/queue_manager.h"
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "testing/crash_harness.h"
@@ -94,7 +95,72 @@ TEST_F(QueueBatchTest, DequeueBatchRespectsPriorityOrder) {
   EXPECT_EQ(Drain(10), (std::vector<std::string>{"high", "mid", "low"}));
 }
 
+// EnqueueFanout stages every target in one transaction, in each
+// target's index order; a target that cannot be resolved fails alone.
+TEST_F(QueueBatchTest, FanoutStagesEveryTargetInOneTransaction) {
+  ASSERT_OK(queues_->CreateQueue("q2"));
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  const uint64_t commits_before = commits->Value();
+  const std::vector<Status> outcomes = queues_->EnqueueFanout(
+      {Req("a"), Req("b"), Req("c")},
+      {{"q", {0, 2}}, {"missing", {0}}, {"q2", {1, 2}}, {"q2", {7}}});
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_OK(outcomes[0]);
+  EXPECT_TRUE(outcomes[1].IsNotFound()) << outcomes[1];
+  EXPECT_OK(outcomes[2]);
+  EXPECT_TRUE(outcomes[3].IsInvalidArgument()) << outcomes[3];
+  EXPECT_EQ(commits->Value() - commits_before, 1u);
+  EXPECT_EQ(Drain(10), (std::vector<std::string>{"a", "c"}));
+  std::vector<std::string> q2;
+  EXPECT_OK(queues_->Browse("q2", "", [&](const Message& message) {
+    q2.push_back(message.payload);
+    return true;
+  }));
+  EXPECT_EQ(q2, (std::vector<std::string>{"b", "c"}));
+}
+
 #ifdef EDADB_FAILPOINTS_ENABLED
+// When the one transaction fails without applying, each target is
+// staged on its own: the failing one fails alone, and no message lands
+// twice.
+TEST_F(QueueBatchTest, FanoutFallsBackPerTargetWhenNothingApplied) {
+  ASSERT_OK(queues_->CreateQueue("q2"));
+  {
+    // The first fire fails the shared transaction; the second fails
+    // "q"'s own retry (two messages, so it passes the mid-batch site),
+    // and "q2"'s single message never reaches the site.
+    testing::FailpointGuard guard;
+    testing::ArmError("mq.enqueue_batch.mid", Status::IOError("injected"),
+                      /*skip=*/0, /*max_fires=*/2);
+    const std::vector<Status> outcomes = queues_->EnqueueFanout(
+        {Req("a"), Req("b")}, {{"q", {0, 1}}, {"q2", {1}}});
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(outcomes[0].IsIOError()) << outcomes[0];
+    EXPECT_OK(outcomes[1]);
+  }
+  EXPECT_EQ(Drain(10), (std::vector<std::string>{}));
+  EXPECT_EQ(*queues_->Depth("q2", ""), 1u);
+}
+
+// A fan-out whose commit applied but whose sync failed is never staged
+// again: every target reports DurabilityUnknown, and each queue holds
+// its messages once.
+TEST_F(QueueBatchTest, FanoutWithFailedSyncIsNotStagedTwice) {
+  ASSERT_OK(queues_->CreateQueue("q2"));
+  {
+    testing::FailpointGuard guard;
+    testing::ArmError("wal.sync");
+    const std::vector<Status> outcomes = queues_->EnqueueFanout(
+        {Req("a")}, {{"q", {0}}, {"q2", {0}}});
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(outcomes[0].IsDurabilityUnknown()) << outcomes[0];
+    EXPECT_TRUE(outcomes[1].IsDurabilityUnknown()) << outcomes[1];
+  }
+  EXPECT_EQ(Drain(10), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(*queues_->Depth("q2", ""), 1u);
+}
+
 TEST_F(QueueBatchTest, MidBatchErrorRollsBackWholeBatch) {
   ASSERT_OK(queues_->Enqueue("q", Req("survivor")).status());
   {

@@ -1,7 +1,8 @@
 // Crash-window regressions for the queue persistence path, driven by
-// failpoints. An ack deletes the delivery row and the message row in one
-// transaction, so a crash lands either before it (the message comes
-// back once) or after it (nothing comes back). Builds that used two
+// failpoints. An ack, like a REMOVE-mode dequeue, deletes the delivery
+// row and the message row in one transaction, so a crash lands either
+// before it (the message comes back once) or after it (nothing comes
+// back). Builds that used two
 // transactions could strand a fully acked message body on disk;
 // reattach still garbage-collects such orphans from their data dirs.
 // A failed WAL sync is not a crash: the commit stays applied, and the
@@ -196,6 +197,84 @@ TEST_F(QueueCrashTest, ReattachCollectsOrphanedMessageRow) {
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload, "kept");
   EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
+}
+
+// A REMOVE-mode dequeue consumes in one transaction. Killed before it
+// commits, the message is still ready after reattach: the next dequeue
+// gets it at once, with no visibility timeout to wait out, and only
+// once.
+TEST_F(QueueCrashTest, RemoveCrashBeforeCommitLeavesMessageForNextDequeue) {
+  ASSERT_OK(queues_->Enqueue("q", Req("kept")).status());
+  DequeueRequest remove;
+  remove.remove = true;
+
+  ArmCrash("mq.finish.before_commit");
+  CrashDuring([&] {
+    EDADB_IGNORE_STATUS(queues_->Dequeue("q", remove),
+                        "the armed crash fires before Dequeue returns");
+  });
+
+  EXPECT_EQ(1u, MsgRows());
+  EXPECT_EQ(1u, DlvRows());
+  auto msg = *queues_->Dequeue("q", remove);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, "kept");
+  EXPECT_EQ(msg->delivery_count, 1);
+  EXPECT_FALSE(queues_->Dequeue("q", remove)->has_value());
+  clock_.AdvanceMicros(120 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
+  EXPECT_EQ(0u, MsgRows());
+  EXPECT_EQ(0u, DlvRows());
+}
+
+TEST_F(QueueCrashTest, RemoveCrashAfterCommitNeverRedelivers) {
+  ASSERT_OK(queues_->Enqueue("q", Req("gone")).status());
+  DequeueRequest remove;
+  remove.remove = true;
+
+  ArmCrash("mq.finish.after_commit");
+  CrashDuring([&] {
+    EDADB_IGNORE_STATUS(queues_->Dequeue("q", remove),
+                        "the armed crash fires before Dequeue returns");
+  });
+
+  EXPECT_EQ(0u, MsgRows());
+  EXPECT_EQ(0u, DlvRows());
+  EXPECT_EQ(0u, *queues_->Depth("q", ""));
+  EXPECT_FALSE(queues_->Dequeue("q", remove)->has_value());
+  clock_.AdvanceMicros(120 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("q", dq_)->has_value());
+}
+
+// The REMOVE commit applied but its sync failed: the caller gets the
+// message (the rows are gone in this process), and the runtime forgets
+// it, so it is never redelivered. The ack-path twin of this is
+// AckWithFailedSyncNeverRedelivers.
+TEST_F(QueueCrashTest, RemoveWithFailedSyncReturnsAndNeverRedelivers) {
+  ASSERT_OK(queues_->Enqueue("q", Req("removed")).status());
+  ASSERT_OK(queues_->Enqueue("q", Req("next")).status());
+  DequeueRequest remove;
+  remove.remove = true;
+
+  ArmError("wal.sync");
+  auto removed = queues_->Dequeue("q", remove);
+  fp::DisarmAll();
+  ASSERT_OK(removed.status());
+  ASSERT_TRUE(removed->has_value());
+  EXPECT_EQ((*removed)->payload, "removed");
+  EXPECT_EQ(1u, MsgRows());
+  EXPECT_EQ(1u, DlvRows());
+
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  auto next = queues_->Dequeue("q", remove);
+  ASSERT_OK(next.status());
+  ASSERT_TRUE(next->has_value());
+  EXPECT_EQ((*next)->payload, "next");
+  auto empty = queues_->Dequeue("q", dq_);
+  ASSERT_OK(empty.status());
+  EXPECT_FALSE(empty->has_value());
+  EXPECT_EQ(0u, MsgRows());
+  EXPECT_EQ(0u, DlvRows());
 }
 
 TEST_F(QueueCrashTest, DequeueCrashBeforeLockPersistRedeliversFresh) {

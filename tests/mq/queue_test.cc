@@ -433,5 +433,106 @@ TEST_F(QueueTest, ShutdownWakesBlockedWaitersBeforeDestruction) {
   queues_.reset();
 }
 
+// REMOVE mode (AQ's consume-on-read dequeue): the dequeue itself
+// deletes what it takes, so nothing is locked and no ack follows.
+TEST_F(QueueTest, RemoveDequeueConsumesWithoutAck) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->Enqueue("q", Req("once")).status());
+  DequeueRequest remove;
+  remove.remove = true;
+  auto msg = *queues_->Dequeue("q", remove);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, "once");
+  EXPECT_EQ(msg->delivery_count, 1);
+  EXPECT_EQ(*queues_->Depth("q", ""), 0u);
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 0u);
+  EXPECT_EQ(*db_->CountRows("__q_q_dlv"), 0u);
+  // No lock was taken, so the visibility timeout brings nothing back.
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_EQ(*queues_->Depth("q", ""), 0u);
+  DequeueRequest dq;
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
+}
+
+TEST_F(QueueTest, RemoveForOneGroupKeepsOtherGroupsCopy) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->AddConsumerGroup("q", "billing"));
+  ASSERT_OK(queues_->AddConsumerGroup("q", "audit"));
+  const MessageId id = *queues_->Enqueue("q", Req("shared"));
+  DequeueRequest billing;
+  billing.group = "billing";
+  billing.remove = true;
+  auto taken = *queues_->Dequeue("q", billing);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->id, id);
+  // The audit group still holds its copy, so the message row stays.
+  EXPECT_TRUE(queues_->Peek("q", id).ok());
+  EXPECT_EQ(*queues_->Depth("q", "billing"), 0u);
+  EXPECT_EQ(*queues_->Depth("q", "audit"), 1u);
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("q", billing)->has_value());
+  DequeueRequest audit;
+  audit.group = "audit";
+  audit.remove = true;
+  auto copy = *queues_->Dequeue("q", audit);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->payload, "shared");
+  // The last holder removed it: the message row goes too.
+  EXPECT_TRUE(queues_->Peek("q", id).status().IsNotFound());
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 0u);
+  EXPECT_EQ(*db_->CountRows("__q_q_dlv"), 0u);
+}
+
+TEST_F(QueueTest, RemoveWithSelectorTakesOnlyMatches) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  EnqueueRequest east = Req("east order");
+  east.attributes = {{"region", Value::String("east")}};
+  EnqueueRequest west = Req("west order");
+  west.attributes = {{"region", Value::String("west")}};
+  ASSERT_OK(queues_->Enqueue("q", east).status());
+  ASSERT_OK(queues_->Enqueue("q", west).status());
+  DequeueRequest dq;
+  dq.selector = *Predicate::Compile("region = 'west'");
+  dq.remove = true;
+  auto taken = *queues_->DequeueBatch("q", dq, 10);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].payload, "west order");
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
+  // The non-matching message stays ready, untouched.
+  EXPECT_EQ(*queues_->Depth("q", ""), 1u);
+  DequeueRequest all;
+  auto rest = *queues_->Dequeue("q", all);
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->payload, "east order");
+  EXPECT_EQ(rest->delivery_count, 1);
+}
+
+TEST_F(QueueTest, RemoveDeadLettersExpiredMessageOnTheWalk) {
+  ASSERT_OK(queues_->CreateQueue("dlq"));
+  QueueCreateOptions options;
+  options.dead_letter_queue = "dlq";
+  ASSERT_OK(queues_->CreateQueue("q", options));
+  EnqueueRequest dying = Req("dying");
+  dying.ttl_micros = kMicrosPerSecond;
+  ASSERT_OK(queues_->Enqueue("q", dying).status());
+  ASSERT_OK(queues_->Enqueue("q", Req("alive")).status());
+  clock_.AdvanceMicros(2 * kMicrosPerSecond);
+  DequeueRequest remove;
+  remove.remove = true;
+  auto msg = *queues_->Dequeue("q", remove);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, "alive");
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 0u);
+  DequeueRequest dq;
+  auto dead = *queues_->Dequeue("dlq", dq);
+  ASSERT_TRUE(dead.has_value());
+  EXPECT_EQ(dead->payload, "dying");
+  bool expired = false;
+  for (const auto& [name, value] : dead->attributes) {
+    if (name == "dlq_reason") expired = value.string_value() == "expired";
+  }
+  EXPECT_TRUE(expired);
+}
+
 }  // namespace
 }  // namespace edadb

@@ -155,6 +155,55 @@ TEST_F(BrokerTest, DurableSubscriptionSurvivesRestart) {
   EXPECT_EQ((*broker_->Fetch(id))->payload, "fresh job");
 }
 
+// A subscriber's queue dropped behind the broker's back fails that
+// delivery alone: the others still get the publication, Publish leaves
+// the lost delivery out of its count, and pubsub.delivery_failures
+// counts it.
+TEST_F(BrokerTest, LostDurableDeliveryFailsAloneAndIsCounted) {
+  metrics::Counter* failures =
+      metrics::Registry::Default()->GetCounter("pubsub.delivery_failures");
+  std::vector<std::string> ids;
+  for (int i = 0; i < 3; ++i) {
+    SubscriptionSpec spec;
+    spec.subscriber = "worker" + std::to_string(i);
+    spec.topic_pattern = "jobs";
+    spec.durable = true;
+    ids.push_back(*broker_->Subscribe(std::move(spec)));
+  }
+  ASSERT_OK(queues_->DropQueue("__sub_" + ids[1]));
+  const uint64_t failures_before = failures->Value();
+
+  auto delivered = broker_->Publish(Pub("jobs", "j1"));
+  ASSERT_OK(delivered.status());
+  EXPECT_EQ(*delivered, 2u);
+  EXPECT_EQ(failures->Value() - failures_before, 1u);
+  for (const size_t i : {0u, 2u}) {
+    auto pub = broker_->Fetch(ids[i]);
+    ASSERT_OK(pub.status());
+    ASSERT_TRUE(pub->has_value()) << ids[i];
+    EXPECT_EQ((*pub)->payload, "j1");
+    EXPECT_FALSE((*broker_->Fetch(ids[i])).has_value());
+  }
+}
+
+// Fetch consumes in its own dequeue: once it returned a publication,
+// nothing brings it back, not even a restart.
+TEST_F(BrokerTest, FetchedPublicationIsGoneAfterRestart) {
+  SubscriptionSpec spec;
+  spec.subscriber = "worker";
+  spec.topic_pattern = "jobs";
+  spec.durable = true;
+  const std::string id = *broker_->Subscribe(std::move(spec));
+  ASSERT_OK(broker_->PublishBatch({Pub("jobs", "j1"), Pub("jobs", "j2")})
+                .status());
+  EXPECT_EQ((*broker_->Fetch(id))->payload, "j1");
+  EXPECT_EQ(*broker_->PendingCount(id), 1u);
+  Reopen();
+  EXPECT_EQ(*broker_->PendingCount(id), 1u);
+  EXPECT_EQ((*broker_->Fetch(id))->payload, "j2");
+  EXPECT_FALSE((*broker_->Fetch(id)).has_value());
+}
+
 TEST_F(BrokerTest, UnsubscribeStopsDeliveryAndCleansUp) {
   SubscriptionSpec spec;
   spec.subscriber = "worker";
