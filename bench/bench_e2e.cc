@@ -22,10 +22,9 @@ struct Pipeline {
   std::unique_ptr<EventProcessor> processor;
   std::unique_ptr<SimulatedExternalService> gateway;
 
-  /// shards = 0 keeps the EventProcessor default (one delivery-core
-  /// shard per hardware thread); an explicit count pins the layout for
-  /// the sharded sweep below.
-  explicit Pipeline(int shards = 0) {
+  /// One delivery-core shard (the EventProcessor default) unless the
+  /// sharded sweep below asks for more.
+  explicit Pipeline(int shards = 1) {
     EventProcessorOptions options;
     options.data_dir = dir.path();
     options.wal_sync_policy = WalSyncPolicy::kNever;

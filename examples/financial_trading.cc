@@ -9,11 +9,14 @@
 //   - an expectation model (EWMA) flags abnormal price jumps as threats.
 // Opportunities and threats are staged on queues a trading desk drains.
 //
-// Build & run:  ./build/examples/financial_trading
+// Build & run:  ./build/examples/financial_trading [data_dir]
+// With no data_dir the app wipes and uses /tmp/edadb_financial; a
+// data_dir it is given must be new or empty.
 
 #include <cstdio>
-#include <filesystem>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "common/random.h"
 #include "core/monitor.h"
@@ -22,6 +25,7 @@
 #include "cq/window.h"
 #include "common/macros.h"
 #include "mq/queue_manager.h"
+#include "data_dir.h"
 
 using namespace edadb;
 
@@ -37,11 +41,12 @@ SchemaPtr TickSchema() {
 
 }  // namespace
 
-int main() {
-  const std::string dir = "/tmp/edadb_financial";
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  const std::optional<std::string> dir =
+      examples::FreshDataDir(argc, argv, "/tmp/edadb_financial");
+  if (!dir.has_value()) return 2;
   EventProcessorOptions options;
-  options.data_dir = dir;
+  options.data_dir = *dir;
   auto processor = EventProcessor::Open(std::move(options));
   if (!processor.ok()) {
     std::fprintf(stderr, "%s\n", processor.status().ToString().c_str());

@@ -7,25 +7,30 @@
 //   4. the matched event is staged on a persistent queue,
 //   5. a consumer dequeues and acknowledges it.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/examples/quickstart [data_dir]
+// With no data_dir the app wipes and uses /tmp/edadb_quickstart; a
+// data_dir it is given must be new or empty.
 
 #include <cstdio>
-#include <filesystem>
+#include <optional>
+#include <string>
 
 #include "core/processor.h"
 #include "core/sources.h"
 #include "common/macros.h"
+#include "data_dir.h"
 
 using namespace edadb;  // Example code; library code never does this.
 
-int main() {
-  // Fresh scratch directory per run.
-  const std::string dir = "/tmp/edadb_quickstart";
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  // Fresh scratch directory per run; the optional argument picks it.
+  const std::optional<std::string> dir =
+      examples::FreshDataDir(argc, argv, "/tmp/edadb_quickstart");
+  if (!dir.has_value()) return 2;
 
   // 1. Open the assembled stack: database + queues + rules + broker.
   EventProcessorOptions options;
-  options.data_dir = dir;
+  options.data_dir = *dir;
   auto processor = EventProcessor::Open(std::move(options));
   if (!processor.ok()) {
     std::fprintf(stderr, "open failed: %s\n",

@@ -7,22 +7,27 @@
 // responders from drowning: relevance, value, novelty and rate gates
 // each consumer. What passes is distributed via durable pub/sub.
 //
-// Build & run:  ./build/examples/sensornet
+// Build & run:  ./build/examples/sensornet [data_dir]
+// With no data_dir the app wipes and uses /tmp/edadb_sensornet; a
+// data_dir it is given must be new or empty.
 
 #include <cstdio>
-#include <filesystem>
+#include <optional>
+#include <string>
 
 #include "common/random.h"
 #include "core/processor.h"
 #include "common/macros.h"
+#include "data_dir.h"
 
 using namespace edadb;
 
-int main() {
-  const std::string dir = "/tmp/edadb_sensornet";
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  const std::optional<std::string> dir =
+      examples::FreshDataDir(argc, argv, "/tmp/edadb_sensornet");
+  if (!dir.has_value()) return 2;
   EventProcessorOptions options;
-  options.data_dir = dir;
+  options.data_dir = *dir;
   auto processor_or = EventProcessor::Open(std::move(options));
   if (!processor_or.ok()) {
     std::fprintf(stderr, "%s\n", processor_or.status().ToString().c_str());

@@ -7,10 +7,13 @@
 // model of its usage; deviations (leak? theft? outage?) raise alerts
 // that a continuous query over the alert table then distributes.
 //
-// Build & run:  ./build/examples/utility_monitoring
+// Build & run:  ./build/examples/utility_monitoring [data_dir]
+// With no data_dir the app wipes and uses /tmp/edadb_utility; a
+// data_dir it is given must be new or empty.
 
 #include <cstdio>
-#include <filesystem>
+#include <optional>
+#include <string>
 
 #include "common/random.h"
 #include "core/monitor.h"
@@ -18,14 +21,16 @@
 #include "cq/continuous_query.h"
 #include "db/database.h"
 #include "common/macros.h"
+#include "data_dir.h"
 
 using namespace edadb;
 
-int main() {
-  const std::string dir = "/tmp/edadb_utility";
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  const std::optional<std::string> dir =
+      examples::FreshDataDir(argc, argv, "/tmp/edadb_utility");
+  if (!dir.has_value()) return 2;
   DatabaseOptions options;
-  options.dir = dir;
+  options.dir = *dir;
   auto db_or = Database::Open(std::move(options));
   if (!db_or.ok()) {
     std::fprintf(stderr, "%s\n", db_or.status().ToString().c_str());

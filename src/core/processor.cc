@@ -1,7 +1,6 @@
 #include "core/processor.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -24,15 +23,10 @@ Result<std::unique_ptr<EventProcessor>> EventProcessor::Open(
   db_options.clock = processor->options_.clock;
   EDADB_ASSIGN_OR_RETURN(processor->db_, Database::Open(db_options));
   processor->clock_ = processor->db_->clock();
-  if (processor->options_.shards < 0) {
-    return Status::InvalidArgument("shards must be >= 0");
-  }
-  const size_t shards =
-      processor->options_.shards > 0
-          ? static_cast<size_t>(processor->options_.shards)
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
-  EDADB_ASSIGN_OR_RETURN(processor->queues_,
-                         ShardRouter::Open(processor->db_.get(), shards));
+  EDADB_ASSIGN_OR_RETURN(
+      processor->queues_,
+      ShardRouter::Open(processor->db_.get(),
+                        static_cast<size_t>(processor->options_.shards)));
   EDADB_ASSIGN_OR_RETURN(
       processor->rules_,
       RulesEngine::Attach(processor->db_.get(),
@@ -155,9 +149,10 @@ Status EventProcessor::IngestBatch(std::vector<Event> events) {
   for (const EventView& view : views) accessors.push_back(&view);
   EDADB_ASSIGN_OR_RETURN(std::vector<std::vector<Rule>> matched,
                          rules_->EvaluateBatch(accessors));
-  // Queue routes collect per destination, in event order; topic and
+  // Queue routes collect into one request per (event, queue rule) and
+  // one fan-out target per destination queue, in event order; topic and
   // responder routes go out as they come.
-  std::vector<QueueRoutes> staging;
+  QueueRoutes routes;
   for (size_t i = 0; i < events.size(); ++i) {
     rules_matched_.Add(matched[i].size());
     for (const Rule& rule : matched[i]) {
@@ -166,13 +161,14 @@ Status EventProcessor::IngestBatch(std::vector<Event> events) {
         continue;
       }
       const std::string_view queue = std::string_view(rule.action).substr(6);
-      auto group = std::find_if(
-          staging.begin(), staging.end(),
-          [queue](const QueueRoutes& routes) { return routes.queue == queue; });
-      if (group == staging.end()) {
-        group = staging.insert(staging.end(),
-                               QueueRoutes{std::string(queue), {}, {}});
+      auto target = std::find_if(
+          routes.targets.begin(), routes.targets.end(),
+          [queue](const FanoutTarget& t) { return t.queue == queue; });
+      if (target == routes.targets.end()) {
+        target = routes.targets.insert(routes.targets.end(),
+                                       FanoutTarget{std::string(queue), {}});
       }
+      target->requests.push_back(routes.requests.size());
       const Event& event = events[i];
       EnqueueRequest request;
       request.payload = event.payload;
@@ -182,56 +178,64 @@ Status EventProcessor::IngestBatch(std::vector<Event> events) {
                                       Value::String(event.source));
       request.attributes.emplace_back("matched_rule", Value::String(rule.id));
       request.correlation_id = std::to_string(event.id);
-      group->requests.push_back(std::move(request));
-      group->routed.emplace_back(&rule, &event);
+      routes.requests.push_back(std::move(request));
+      routes.routed.emplace_back(&rule, &event);
     }
   }
-  // Every destination is tried; the first failure is what the caller
-  // sees.
-  Status first_failure;
-  for (const QueueRoutes& routes : staging) {
-    Status staged = StageQueueRoutes(routes);
-    if (!staged.ok() && first_failure.ok()) first_failure = std::move(staged);
-  }
-  return first_failure;
+  return StageQueueRoutes(std::move(routes));
 }
 
-Status EventProcessor::StageQueueRoutes(const QueueRoutes& routes) {
-  const size_t n = routes.requests.size();
-  if (!queues_->HasQueue(routes.queue)) {
-    const Status created = queues_->CreateQueue(routes.queue);
-    if (!created.ok() && !created.IsAlreadyExists()) {
-      route_failures_.Add(n);
-      EDADB_LOG(Warn) << "route to queue '" << routes.queue
-                      << "' failed: " << created;
-      return created;
-    }
-  }
-  // One transaction for the whole group; when it fails without
-  // applying, stage event by event so a poisoned event fails alone. A
-  // group that applied (DurabilityUnknown) is never staged again.
-  const auto staged = queues_->EnqueueBatch(routes.queue, routes.requests);
-  const bool retry = n > 1 && !CommitApplied(staged.status());
+Status EventProcessor::StageQueueRoutes(QueueRoutes routes) {
   Status first_failure;
-  for (size_t i = 0; i < n; ++i) {
-    Status s =
-        retry ? queues_->Enqueue(routes.queue, routes.requests[i]).status()
-              : staged.status();
-    const auto& [rule, event] = routes.routed[i];
+  // Counts, logs and audits one route's outcome.
+  const auto settle = [&](const std::string& queue, size_t r, Status s) {
+    const auto& [rule, event] = routes.routed[r];
     if (!s.ok()) {
       route_failures_.Add(1);
-      EDADB_LOG(Warn) << "enqueue of event " << event->id << " to '"
-                      << routes.queue << "' failed: " << s;
+      EDADB_LOG(Warn) << "enqueue of event " << event->id << " to '" << queue
+                      << "' failed: " << s;
       if (first_failure.ok()) first_failure = std::move(s);
-      continue;
+      return;
     }
     routed_to_queues_.Add(1);
     if (options_.audit_routing) {
       EDADB_IGNORE_STATUS(
-          audit_->Append("processor", "route.queue", routes.queue,
+          audit_->Append("processor", "route.queue", queue,
                          "rule=" + rule->id + " event=" +
                              std::to_string(event->id)),
           "audit trail is best-effort; the routing itself succeeded");
+    }
+  };
+  // A queue is created on first use; one that cannot be fails its
+  // routes with the creation error and is left out of the fan-out.
+  for (auto target = routes.targets.begin();
+       target != routes.targets.end();) {
+    const Status created = queues_->HasQueue(target->queue)
+                               ? Status::OK()
+                               : queues_->CreateQueue(target->queue);
+    if (created.ok() || created.IsAlreadyExists()) {
+      ++target;
+      continue;
+    }
+    for (const size_t r : target->requests) settle(target->queue, r, created);
+    target = routes.targets.erase(target);
+  }
+  if (routes.targets.empty()) return first_failure;
+  // One transaction per shard for every destination. A target whose own
+  // transaction applied nothing is re-staged event by event, so a
+  // poisoned event fails alone; one that applied (DurabilityUnknown) is
+  // never staged again.
+  const std::vector<Status> staged =
+      queues_->EnqueueFanout(routes.requests, routes.targets);
+  for (size_t t = 0; t < routes.targets.size(); ++t) {
+    const FanoutTarget& target = routes.targets[t];
+    const bool per_event =
+        !CommitApplied(staged[t]) && target.requests.size() > 1;
+    for (const size_t r : target.requests) {
+      settle(target.queue, r,
+             per_event
+                 ? queues_->Enqueue(target.queue, routes.requests[r]).status()
+                 : staged[t]);
     }
   }
   return first_failure;

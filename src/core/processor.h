@@ -37,10 +37,11 @@ struct EventProcessorOptions {
   TimestampMicros metrics_refresh_interval_micros = kMicrosPerSecond;
   /// Number of delivery-core shards: each shard owns its own WAL
   /// stream, commit pipeline, queue lock domain and dispatcher pool,
-  /// with queue names hash-routed across them. 0 (the default) = one
-  /// shard per hardware thread; 1 = the classic single-domain layout
-  /// (same on-disk format and ids as before sharding existed).
-  int shards = 0;
+  /// with queue names hash-routed across them. Must be >= 1. The
+  /// default, 1, is the classic single-domain layout (same on-disk
+  /// format and ids as before sharding existed) on every host. A data
+  /// dir that already holds more shards opens all of them.
+  int shards = 1;
 };
 
 /// The assembled event-driven application stack: one database under a
@@ -76,11 +77,13 @@ class EventProcessor {
 
   /// Batch ingest: normalizes every event, evaluates all events against
   /// the rule set in one matcher pass, then routes the matched actions.
-  /// Queue routes are staged per destination queue: each queue's events
-  /// go in one EnqueueBatch, in event order — one transaction and one
-  /// WAL barrier per destination, not per event. A group whose commit
-  /// fails without applying is re-staged event by event, so a poisoned
-  /// event fails alone; a group that applied but failed its WAL sync
+  /// Every queue route of the batch is staged with ONE EnqueueFanout:
+  /// one target per destination queue, its events in event order — one
+  /// transaction and one WAL barrier per shard, not per destination or
+  /// event. A shard transaction that applies nothing falls back to one
+  /// per destination; a destination whose own transaction applies
+  /// nothing is re-staged event by event, so a poisoned event fails
+  /// alone. One that applied but failed its WAL sync
   /// (DurabilityUnknown) is never staged twice. Topic publishes and
   /// responder dispatches stay per event.
   /// Within a batch, every handler registered on rules() runs before
@@ -149,17 +152,18 @@ class EventProcessor {
  private:
   explicit EventProcessor(EventProcessorOptions options);
 
-  /// One destination queue's share of an IngestBatch: a request per
-  /// routed event, in event order, with the rule and event behind it.
+  /// An IngestBatch's queue routes: a request per routed (event, queue
+  /// rule), in event order, with the rule and event behind it, and a
+  /// fan-out target per destination queue.
   struct QueueRoutes {
-    std::string queue;
     std::vector<EnqueueRequest> requests;
     std::vector<std::pair<const Rule*, const Event*>> routed;
+    std::vector<FanoutTarget> targets;
   };
 
-  /// Stages one destination's routes (creating the queue on first use);
-  /// returns the first failure after trying every route.
-  EDADB_NODISCARD Status StageQueueRoutes(const QueueRoutes& routes);
+  /// Stages every route with one EnqueueFanout (creating queues on
+  /// first use); returns the first failure after trying every route.
+  EDADB_NODISCARD Status StageQueueRoutes(QueueRoutes routes);
 
   /// Topic and responder routes (queue routes go through
   /// StageQueueRoutes).

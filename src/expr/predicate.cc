@@ -1,5 +1,8 @@
 #include "expr/predicate.h"
 
+#include <cassert>
+#include <memory>
+
 namespace edadb {
 
 Result<Predicate> Predicate::Compile(std::string_view source) {
@@ -15,6 +18,21 @@ Predicate Predicate::FromExpr(ExprPtr expr) {
   p.source_ = expr->ToString();
   p.expr_ = std::move(expr);
   return p;
+}
+
+Predicate Predicate::ColumnsEqual(
+    const std::vector<std::pair<std::string, Value>>& columns) {
+  assert(!columns.empty());
+  ExprPtr expr;
+  for (const auto& [column, value] : columns) {
+    ExprPtr equals = std::make_shared<BinaryExpr>(
+        BinaryOp::kEq, std::make_shared<ColumnExpr>(column),
+        std::make_shared<LiteralExpr>(value));
+    expr = expr == nullptr
+               ? equals
+               : std::make_shared<BinaryExpr>(BinaryOp::kAnd, expr, equals);
+  }
+  return FromExpr(std::move(expr));
 }
 
 Result<bool> Predicate::Matches(const RowAccessor& row) const {

@@ -4,6 +4,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/result.h"
@@ -24,6 +26,13 @@ class Predicate {
 
   /// Wraps an already-built AST.
   static Predicate FromExpr(ExprPtr expr);
+
+  /// `column = value` for every pair, ANDed together, built as an AST:
+  /// a value is never read as predicate text, so a quote in a name
+  /// stays part of the name. For catalog lookups by key. `columns` must
+  /// not be empty.
+  static Predicate ColumnsEqual(
+      const std::vector<std::pair<std::string, Value>>& columns);
 
   bool valid() const { return expr_ != nullptr; }
   const ExprPtr& expr() const { return expr_; }

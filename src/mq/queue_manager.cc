@@ -1,8 +1,8 @@
 #include "mq/queue_manager.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
-#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -131,8 +131,7 @@ Record DeliveryRecord(const SchemaPtr& schema, const std::string& group,
                          Value::Int64(delivery_count)});
 }
 
-/// Each request's attributes in their stored encoding, computed once
-/// however many queues the request is staged into.
+/// Each request's attributes in their stored encoding.
 std::vector<std::string> EncodeAttributeLists(const EnqueueRequest* requests,
                                               size_t count) {
   std::vector<std::string> encoded(count);
@@ -408,11 +407,11 @@ Status QueueManager::DropQueue(const std::string& name) {
   }
   EDADB_RETURN_IF_ERROR(db_->DropTable(it->second.tables.msg_table));
   EDADB_RETURN_IF_ERROR(db_->DropTable(it->second.tables.dlv_table));
-  EDADB_ASSIGN_OR_RETURN(Predicate by_name,
-                         Predicate::Compile("name = '" + name + "'"));
+  const Predicate by_name =
+      Predicate::ColumnsEqual({{"name", Value::String(name)}});
   EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kQueuesTable, by_name).status());
-  EDADB_ASSIGN_OR_RETURN(Predicate by_queue,
-                         Predicate::Compile("queue = '" + name + "'"));
+  const Predicate by_queue =
+      Predicate::ColumnsEqual({{"queue", Value::String(name)}});
   EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kGroupsTable, by_queue).status());
   queues_.erase(it);
   return Status::OK();
@@ -460,10 +459,8 @@ Status QueueManager::RemoveConsumerGroup(const std::string& queue,
   if (it->second.explicit_groups.erase(group) == 0) {
     return Status::NotFound("group '" + group + "'");
   }
-  EDADB_ASSIGN_OR_RETURN(
-      Predicate match,
-      Predicate::Compile("queue = '" + queue + "' AND grp = '" + group +
-                         "'"));
+  const Predicate match = Predicate::ColumnsEqual(
+      {{"queue", Value::String(queue)}, {"grp", Value::String(group)}});
   EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kGroupsTable, match).status());
   // Finish any outstanding deliveries so messages can be garbage
   // collected.
@@ -501,45 +498,18 @@ bool QueueManager::IsEffectiveGroup(const QueueState& state,
              : state.explicit_groups.count(group) > 0;
 }
 
-Result<MessageId> QueueManager::Enqueue(const std::string& queue,
-                                        const EnqueueRequest& request) {
-  EDADB_ASSIGN_OR_RETURN(std::vector<MessageId> ids,
-                         EnqueueSpan(queue, &request, 1));
-  return ids.front();
-}
-
-Result<std::vector<MessageId>> QueueManager::EnqueueBatch(
-    const std::string& queue, const std::vector<EnqueueRequest>& requests) {
-  return EnqueueSpan(queue, requests.data(), requests.size());
-}
-
-Result<std::vector<MessageId>> QueueManager::EnqueueSpan(
-    const std::string& queue, const EnqueueRequest* requests, size_t count) {
-  metrics::LatencyScope latency(EnqueueLatency());
-  // Resolving validates the queue even for an empty batch, so callers
-  // get the same NotFound they would for a non-empty one.
-  EDADB_ASSIGN_OR_RETURN(StagingTarget target, ResolveStaging(queue));
-  std::vector<MessageId> ids;
-  if (count == 0) return ids;
-  ids.reserve(count);
-  std::vector<size_t> all(count);
-  std::iota(all.begin(), all.end(), size_t{0});
-  const std::vector<std::string> attrs = EncodeAttributeLists(requests, count);
-  const Destination dest{std::move(target), &all};
-  EDADB_RETURN_IF_ERROR(
-      StageAndCommit(requests, attrs.data(), &dest, 1, &ids));
-  return ids;
-}
-
 std::vector<Status> QueueManager::EnqueueFanout(
-    const std::vector<EnqueueRequest>& requests,
-    const std::vector<FanoutTarget>& targets) {
+    std::span<const EnqueueRequest> requests,
+    std::span<const FanoutTarget> targets,
+    std::span<std::vector<MessageId>> ids) {
+  assert(ids.empty() || ids.size() == targets.size());
   metrics::LatencyScope latency(EnqueueLatency());
   std::vector<Status> outcomes(targets.size());
-  // dests[d] stages targets[target_of[d]]; a target that cannot be
-  // resolved fails alone and stages nothing.
+  for (std::vector<MessageId>& staged : ids) staged.clear();
+  // A target that cannot be resolved (a missing queue is NotFound, even
+  // with no requests) fails alone and stages nothing.
   std::vector<Destination> dests;
-  std::vector<size_t> target_of;
+  dests.reserve(targets.size());
   {
     RecursiveMutexLock lock(&mu_);
     for (size_t t = 0; t < targets.size(); ++t) {
@@ -559,37 +529,49 @@ std::vector<Status> QueueManager::EnqueueFanout(
         continue;
       }
       if (target.requests.empty()) continue;
-      dests.push_back({*std::move(resolved), &target.requests});
-      target_of.push_back(t);
+      dests.push_back({*std::move(resolved), t, &target.requests,
+                       ids.empty() ? nullptr : &ids[t]});
     }
   }
   if (dests.empty()) return outcomes;
-  const std::vector<std::string> attrs =
-      EncodeAttributeLists(requests.data(), requests.size());
-  const Status committed = StageAndCommit(requests.data(), attrs.data(),
-                                          dests.data(), dests.size(), nullptr);
-  if (!CommitApplied(committed) && dests.size() > 1) {
-    // Nothing applied: stage target by target, so a failing queue (one
-    // dropped since it was resolved, say) fails alone.
-    for (size_t d = 0; d < dests.size(); ++d) {
-      outcomes[target_of[d]] = StageAndCommit(requests.data(), attrs.data(),
-                                              &dests[d], 1, nullptr);
+  // Each request this call stages is encoded once, however many targets
+  // receive it; requests bound only for other shards are not encoded.
+  std::vector<std::string> attrs(requests.size());
+  for (const Destination& dest : dests) {
+    for (const size_t i : *dest.requests) {
+      if (attrs[i].empty()) {
+        EncodeAttributes(requests[i].attributes, &attrs[i]);
+      }
     }
-    return outcomes;
   }
-  for (const size_t t : target_of) outcomes[t] = committed;
+  const Status committed = StageAndCommit(requests.data(), attrs.data(),
+                                          dests.data(), dests.size());
+  // Nothing applied: stage target by target, so a failing queue (one
+  // dropped since it was resolved, say) fails alone.
+  const bool per_target = !CommitApplied(committed) && dests.size() > 1;
+  for (size_t d = 0; d < dests.size(); ++d) {
+    Status staged = per_target ? StageAndCommit(requests.data(), attrs.data(),
+                                                &dests[d], 1)
+                               : committed;
+    if (!staged.ok() && dests[d].ids != nullptr) dests[d].ids->clear();
+    outcomes[dests[d].target_index] = std::move(staged);
+  }
   return outcomes;
 }
 
 Status QueueManager::StageAndCommit(const EnqueueRequest* requests,
                                     const std::string* attrs,
                                     const Destination* dests,
-                                    size_t num_dests,
-                                    std::vector<MessageId>* ids) {
+                                    size_t num_dests) {
   const WallMicros now = clock_->WallNow();
   auto txn = db_->BeginTransaction();
   size_t staged = 0;
   for (size_t d = 0; d < num_dests; ++d) {
+    std::vector<MessageId>* ids = dests[d].ids;
+    if (ids != nullptr) {
+      ids->clear();
+      ids->reserve(dests[d].requests->size());
+    }
     for (const size_t i : *dests[d].requests) {
       // Crash between staged messages of a batch: the transaction never
       // commits, so the whole batch must vanish (all-or-nothing).
@@ -898,14 +880,6 @@ Status QueueManager::DeadLetter(const std::string& queue, QueueState* state,
   }
   DeadLetterCounter()->Add(1);
   return FinishDeliveries(state, group, {id});
-}
-
-Result<std::optional<Message>> QueueManager::Dequeue(
-    const std::string& queue, const DequeueRequest& request) {
-  EDADB_ASSIGN_OR_RETURN(std::vector<Message> messages,
-                         DequeueBatch(queue, request, 1));
-  if (messages.empty()) return std::optional<Message>();
-  return std::optional<Message>(std::move(messages.front()));
 }
 
 Result<std::vector<Message>> QueueManager::DequeueBatch(

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,27 +64,15 @@ class QueueManager : public QueueService {
   EDADB_NODISCARD Result<std::vector<std::string>> ListConsumerGroups(
       const std::string& queue) const override;
 
-  /// Stages a message (the tutorial's "extended INSERT interface").
-  /// Thin wrapper over a one-element EnqueueBatch (single code path).
-  EDADB_NODISCARD Result<MessageId> Enqueue(
-      const std::string& queue, const EnqueueRequest& request) override;
-
-  /// Stages N messages as ONE transaction — one WAL barrier, one group
-  /// of AFTER triggers — so either every message becomes visible or
-  /// none does (all-or-nothing; per-message ack semantics unchanged).
-  /// Returns the MessageIds in request order. This is the batch-first
-  /// ingest fast path: under WalSyncPolicy::kOnCommit the whole batch
-  /// pays one fdatasync instead of N.
-  EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueBatch(
-      const std::string& queue,
-      const std::vector<EnqueueRequest>& requests) override;
-
-  /// Stages every target in ONE transaction through the staging loop
-  /// EnqueueBatch uses, encoding each request's attributes once however
-  /// many targets receive it (contract: QueueService::EnqueueFanout).
+  /// Every enqueue stages here (Enqueue and EnqueueBatch are one-target
+  /// wrappers): all targets in ONE transaction — one WAL barrier, one
+  /// group of AFTER triggers — so every message becomes visible or none
+  /// does. Each staged request is encoded once however many targets
+  /// receive it (contract: QueueService::EnqueueFanout).
   EDADB_NODISCARD std::vector<Status> EnqueueFanout(
-      const std::vector<EnqueueRequest>& requests,
-      const std::vector<FanoutTarget>& targets) override;
+      std::span<const EnqueueRequest> requests,
+      std::span<const FanoutTarget> targets,
+      std::span<std::vector<MessageId>> ids = {}) override;
 
   /// Idempotent enqueue (see QueueService::EnqueueDedupBatch): one
   /// transaction consumes every key in the __handoff ledger (unique
@@ -101,16 +90,10 @@ class QueueManager : public QueueService {
                                          const std::string& queue,
                                          const EnqueueRequest& request);
 
-  /// Takes the highest-priority visible message matching the selector,
-  /// locking it for the group's visibility timeout. nullopt = queue
-  /// empty (for this group/selector). Thin wrapper over
-  /// DequeueBatch(..., 1).
-  EDADB_NODISCARD Result<std::optional<Message>> Dequeue(
-      const std::string& queue, const DequeueRequest& request) override;
-
-  /// Batch dequeue: takes up to `max_messages` deliverable messages in
-  /// dequeue order under one runtime lock, walking the ready set in
-  /// place (a one-at-a-time drain costs O(log depth) per message, not
+  /// Batch dequeue (QueueService::Dequeue is the one-message form):
+  /// takes up to `max_messages` deliverable messages in dequeue order
+  /// under one runtime lock, walking the ready set in place (a
+  /// one-at-a-time drain costs O(log depth) per message, not
   /// O(depth)). Every taken message is locked for the visibility
   /// timeout, and all the locks persist in ONE transaction; the
   /// in-memory runtime moves only after it commits, so a failed or
@@ -275,11 +258,14 @@ class QueueManager : public QueueService {
     std::vector<std::string> groups;
   };
 
-  /// One queue of a staging transaction, and the indexes of the
-  /// requests it receives, in order.
+  /// One queue of a staging transaction, the index of its fan-out
+  /// target, the indexes of the requests it receives, in order, and
+  /// where their ids go (null: nowhere).
   struct Destination {
     StagingTarget target;
+    size_t target_index = 0;
     const std::vector<size_t>* requests = nullptr;
+    std::vector<MessageId>* ids = nullptr;
   };
 
   static std::string MsgTableName(const std::string& queue);
@@ -316,22 +302,15 @@ class QueueManager : public QueueService {
       const EnqueueRequest& request, const std::string& attrs,
       WallMicros now);
 
-  /// The staging loop behind EnqueueBatch and EnqueueFanout: stages
-  /// every destination's requests in ONE transaction and commits it.
-  /// `attrs[i]` is requests[i]'s encoded attributes. Appends the staged
-  /// ids, in staging order, to `ids` when it is not null. Returns the
+  /// The staging loop behind EnqueueFanout: stages every destination's
+  /// requests in ONE transaction and commits it. `attrs[i]` is
+  /// requests[i]'s encoded attributes. Each destination's `ids`, when
+  /// not null, is set to its staged ids in request order. Returns the
   /// commit's status.
   EDADB_NODISCARD Status StageAndCommit(const EnqueueRequest* requests,
                                         const std::string* attrs,
                                         const Destination* dests,
-                                        size_t num_dests,
-                                        std::vector<MessageId>* ids);
-
-  /// Shared implementation behind Enqueue and EnqueueBatch (pointer +
-  /// count instead of a vector so the single-message wrapper needs no
-  /// copy; C++17 has no std::span).
-  EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueSpan(
-      const std::string& queue, const EnqueueRequest* requests, size_t count);
+                                        size_t num_dests);
 
   /// EnqueueDedupBatch over `count` (request, key) pairs; its per-key
   /// fallback calls back in with count 1.
@@ -367,8 +346,8 @@ class QueueManager : public QueueService {
   }
 
   /// Copies the message to the dead-letter queue (when configured) and
-  /// finishes this group's delivery. Re-enters mu_ through Enqueue,
-  /// which is why mu_ is recursive.
+  /// finishes this group's delivery. Re-enters mu_ through Enqueue
+  /// (EnqueueFanout), which is why mu_ is recursive.
   EDADB_NODISCARD Status DeadLetter(const std::string& queue, QueueState* state,
                     const std::string& group, MessageId id,
                     const std::string& reason) EDADB_REQUIRES(mu_);

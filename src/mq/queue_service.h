@@ -2,7 +2,9 @@
 #define EDADB_MQ_QUEUE_SERVICE_H_
 
 #include <functional>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,11 @@ struct FanoutTarget {
 /// at-least-once delivery with visibility timeouts; all-or-nothing batch
 /// enqueue; `EnqueueDedup` as the exactly-once-visible cross-shard
 /// handoff primitive. See mq/queue_manager.h for the per-call contracts.
+///
+/// The single-item calls are non-virtual wrappers over their batch
+/// forms, so each has one implementation per service: Enqueue and
+/// EnqueueBatch over EnqueueFanout, EnqueueDedup over EnqueueDedupBatch,
+/// Dequeue over DequeueBatch, Ack over AckBatch.
 class QueueService {
  public:
   virtual ~QueueService() = default;
@@ -85,24 +92,40 @@ class QueueService {
   EDADB_NODISCARD virtual Result<std::vector<std::string>> ListConsumerGroups(
       const std::string& queue) const = 0;
 
-  EDADB_NODISCARD virtual Result<MessageId> Enqueue(
-      const std::string& queue, const EnqueueRequest& request) = 0;
-  EDADB_NODISCARD virtual Result<std::vector<MessageId>> EnqueueBatch(
-      const std::string& queue,
-      const std::vector<EnqueueRequest>& requests) = 0;
-
-  /// Stages the same requests into many queues (the broker's durable
-  /// fan-out): every target whose queue lives on one shard is staged in
-  /// ONE transaction, so a fan-out costs one commit per shard rather
-  /// than one per queue. Returns one outcome per target, in target
-  /// order. A missing queue (say, dropped by a concurrent Unsubscribe)
-  /// fails its target alone. When a shard's transaction fails without
-  /// applying, its targets are staged one at a time, so a failing queue
-  /// fails alone; one that applied (DurabilityUnknown) is never staged
-  /// twice, and each of its targets reports that status.
+  /// The one staging path (the tutorial's "extended INSERT interface"):
+  /// stages requests into many queues, the broker's durable fan-out and
+  /// IngestBatch's routes alike. Every target whose queue lives on one
+  /// shard is staged in ONE transaction, so a call costs one commit per
+  /// shard rather than one per queue. Returns one outcome per target,
+  /// in target order. A missing queue (say, dropped by a concurrent
+  /// Unsubscribe) fails its target alone. When a shard's transaction
+  /// fails without applying, its targets are staged one at a time, so a
+  /// failing queue fails alone; one that applied (DurabilityUnknown) is
+  /// never staged twice, and each of its targets reports that status.
+  /// `ids` is empty or holds one vector per target: ids[t] receives
+  /// target t's message ids in its request order if target t staged OK,
+  /// and is empty if not.
   EDADB_NODISCARD virtual std::vector<Status> EnqueueFanout(
-      const std::vector<EnqueueRequest>& requests,
-      const std::vector<FanoutTarget>& targets) = 0;
+      std::span<const EnqueueRequest> requests,
+      std::span<const FanoutTarget> targets,
+      std::span<std::vector<MessageId>> ids = {}) = 0;
+
+  /// Stages `requests` into one queue in ONE transaction, all or
+  /// nothing, and returns their ids in request order: a one-target
+  /// EnqueueFanout. Under WalSyncPolicy::kOnCommit the batch pays one
+  /// fdatasync, not one per message.
+  EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueBatch(
+      const std::string& queue, const std::vector<EnqueueRequest>& requests) {
+    return EnqueueInto(queue, requests);
+  }
+
+  /// EnqueueBatch of one request, staged from where it lies.
+  EDADB_NODISCARD Result<MessageId> Enqueue(const std::string& queue,
+                                            const EnqueueRequest& request) {
+    EDADB_ASSIGN_OR_RETURN(std::vector<MessageId> ids,
+                           EnqueueInto(queue, {&request, 1}));
+    return ids.front();
+  }
 
   /// Idempotent batch enqueue: stages `requests[i]` and consumes
   /// `dedup_keys[i]` for every i in ONE transaction against the queue's
@@ -130,14 +153,23 @@ class QueueService {
     return ids.front();
   }
 
-  /// Dequeue and DequeueBatch lock what they take for a later
-  /// ack/nack/release, or, with `request.remove`, consume it at once:
-  /// see QueueManager::DequeueBatch.
-  EDADB_NODISCARD virtual Result<std::optional<Message>> Dequeue(
-      const std::string& queue, const DequeueRequest& request) = 0;
+  /// Takes up to `max_messages` deliverable messages in dequeue order
+  /// and locks them for a later ack/nack/release, or, with
+  /// `request.remove`, consumes them at once: see
+  /// QueueManager::DequeueBatch.
   EDADB_NODISCARD virtual Result<std::vector<Message>> DequeueBatch(
       const std::string& queue, const DequeueRequest& request,
       size_t max_messages) = 0;
+
+  /// DequeueBatch of at most one message; nullopt when none is
+  /// deliverable to the group (and selector).
+  EDADB_NODISCARD Result<std::optional<Message>> Dequeue(
+      const std::string& queue, const DequeueRequest& request) {
+    EDADB_ASSIGN_OR_RETURN(std::vector<Message> messages,
+                           DequeueBatch(queue, request, 1));
+    if (messages.empty()) return std::optional<Message>();
+    return std::optional<Message>(std::move(messages.front()));
+  }
   EDADB_NODISCARD virtual Result<std::optional<Message>> DequeueWait(
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) = 0;
@@ -189,6 +221,19 @@ class QueueService {
   /// would be placed). A single-domain service is its own one shard.
   virtual size_t ShardOf(const std::string& queue) const = 0;
   virtual size_t num_shards() const = 0;
+
+ private:
+  /// The one-target EnqueueFanout behind EnqueueBatch and Enqueue; its
+  /// target and ids live on the stack.
+  EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueInto(
+      const std::string& queue, std::span<const EnqueueRequest> requests) {
+    FanoutTarget target{queue, std::vector<size_t>(requests.size())};
+    std::iota(target.requests.begin(), target.requests.end(), size_t{0});
+    std::vector<MessageId> ids;
+    EDADB_RETURN_IF_ERROR(std::move(
+        EnqueueFanout(requests, {&target, 1}, {&ids, 1}).front()));
+    return ids;
+  }
 };
 
 }  // namespace edadb

@@ -1,6 +1,9 @@
 #include "mq/shard_router.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdlib>
+#include <functional>
 #include <utility>
 
 #include "common/crc32.h"
@@ -204,24 +207,6 @@ Result<std::vector<std::string>> ShardRouter::ListConsumerGroups(
   return shards_[ShardOf(queue)].queues->ListConsumerGroups(queue);
 }
 
-Result<MessageId> ShardRouter::Enqueue(const std::string& queue,
-                                       const EnqueueRequest& request) {
-  const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(MessageId id,
-                         shards_[shard].queues->Enqueue(queue, request));
-  return TagId(shard, id);
-}
-
-Result<std::vector<MessageId>> ShardRouter::EnqueueBatch(
-    const std::string& queue, const std::vector<EnqueueRequest>& requests) {
-  const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(
-      std::vector<MessageId> ids,
-      shards_[shard].queues->EnqueueBatch(queue, requests));
-  for (MessageId& id : ids) id = TagId(shard, id);
-  return ids;
-}
-
 Result<std::vector<std::optional<MessageId>>> ShardRouter::EnqueueDedupBatch(
     const std::string& queue, const std::vector<EnqueueRequest>& requests,
     const std::vector<std::string>& dedup_keys) {
@@ -236,17 +221,32 @@ Result<std::vector<std::optional<MessageId>>> ShardRouter::EnqueueDedupBatch(
 }
 
 std::vector<Status> ShardRouter::EnqueueFanout(
-    const std::vector<EnqueueRequest>& requests,
-    const std::vector<FanoutTarget>& targets) {
-  if (shards_.size() == 1) {
-    return shards_.front().queues->EnqueueFanout(requests, targets);
-  }
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
+    std::span<const EnqueueRequest> requests,
+    std::span<const FanoutTarget> targets,
+    std::span<std::vector<MessageId>> ids) {
+  assert(ids.empty() || ids.size() == targets.size());
+  std::vector<size_t> shard_of(targets.size());
   {
     MutexLock lock(&mu_);
     for (size_t t = 0; t < targets.size(); ++t) {
-      by_shard[ShardOfLocked(targets[t].queue)].push_back(t);
+      shard_of[t] = ShardOfLocked(targets[t].queue);
     }
+  }
+  // Targets that all live on one shard (every EnqueueBatch, and every
+  // call on a one-shard router) go straight to it, uncopied.
+  if (std::adjacent_find(shard_of.begin(), shard_of.end(),
+                         std::not_equal_to<>()) == shard_of.end()) {
+    const size_t shard = shard_of.empty() ? 0 : shard_of.front();
+    std::vector<Status> outcomes =
+        shards_[shard].queues->EnqueueFanout(requests, targets, ids);
+    for (std::vector<MessageId>& staged : ids) {
+      for (MessageId& id : staged) id = TagId(shard, id);
+    }
+    return outcomes;
+  }
+  std::vector<std::vector<size_t>> by_shard(shards_.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    by_shard[shard_of[t]].push_back(t);
   }
   std::vector<Status> outcomes(targets.size());
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -255,22 +255,18 @@ std::vector<Status> ShardRouter::EnqueueFanout(
     std::vector<FanoutTarget> shard_targets;
     shard_targets.reserve(mine.size());
     for (const size_t t : mine) shard_targets.push_back(targets[t]);
-    std::vector<Status> shard_outcomes =
-        shards_[shard].queues->EnqueueFanout(requests, shard_targets);
+    std::vector<std::vector<MessageId>> shard_ids(ids.empty() ? 0
+                                                              : mine.size());
+    std::vector<Status> shard_outcomes = shards_[shard].queues->EnqueueFanout(
+        requests, shard_targets, shard_ids);
     for (size_t k = 0; k < mine.size(); ++k) {
       outcomes[mine[k]] = std::move(shard_outcomes[k]);
+      if (ids.empty()) continue;
+      for (MessageId& id : shard_ids[k]) id = TagId(shard, id);
+      ids[mine[k]] = std::move(shard_ids[k]);
     }
   }
   return outcomes;
-}
-
-Result<std::optional<Message>> ShardRouter::Dequeue(
-    const std::string& queue, const DequeueRequest& request) {
-  const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(std::optional<Message> message,
-                         shards_[shard].queues->Dequeue(queue, request));
-  if (message.has_value()) message->id = TagId(shard, message->id);
-  return message;
 }
 
 Result<std::vector<Message>> ShardRouter::DequeueBatch(

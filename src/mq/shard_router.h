@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,24 +70,20 @@ class ShardRouter : public QueueService {
   EDADB_NODISCARD Result<std::vector<std::string>> ListConsumerGroups(
       const std::string& queue) const override;
 
-  EDADB_NODISCARD Result<MessageId> Enqueue(
-      const std::string& queue, const EnqueueRequest& request) override;
-  EDADB_NODISCARD Result<std::vector<MessageId>> EnqueueBatch(
-      const std::string& queue,
-      const std::vector<EnqueueRequest>& requests) override;
   EDADB_NODISCARD Result<std::vector<std::optional<MessageId>>>
   EnqueueDedupBatch(const std::string& queue,
                     const std::vector<EnqueueRequest>& requests,
                     const std::vector<std::string>& dedup_keys) override;
   /// Splits the targets by owning shard and makes one
   /// QueueManager::EnqueueFanout call per shard: one transaction per
-  /// shard touched.
+  /// shard touched. Targets that all live on one shard (every
+  /// EnqueueBatch) pass straight through, uncopied. Returned ids carry
+  /// the shard tag.
   EDADB_NODISCARD std::vector<Status> EnqueueFanout(
-      const std::vector<EnqueueRequest>& requests,
-      const std::vector<FanoutTarget>& targets) override;
+      std::span<const EnqueueRequest> requests,
+      std::span<const FanoutTarget> targets,
+      std::span<std::vector<MessageId>> ids = {}) override;
 
-  EDADB_NODISCARD Result<std::optional<Message>> Dequeue(
-      const std::string& queue, const DequeueRequest& request) override;
   EDADB_NODISCARD Result<std::vector<Message>> DequeueBatch(
       const std::string& queue, const DequeueRequest& request,
       size_t max_messages) override;

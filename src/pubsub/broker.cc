@@ -330,9 +330,8 @@ Status Broker::Unsubscribe(const std::string& subscription_id) {
     subscriptions_.erase(it);
   }
   if (durable) {
-    EDADB_ASSIGN_OR_RETURN(
-        Predicate match,
-        Predicate::Compile("sub_id = '" + subscription_id + "'"));
+    const Predicate match = Predicate::ColumnsEqual(
+        {{"sub_id", Value::String(subscription_id)}});
     EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kSubsTable, match).status());
     const Status drop = queues_->DropQueue(SubQueueName(subscription_id));
     if (!drop.ok() && !drop.IsNotFound()) return drop;
@@ -383,9 +382,8 @@ Result<size_t> Broker::PublishSpan(const Publication* pubs, size_t count) {
   for (size_t i = 0; i < count; ++i) {
     const Publication& pub = pubs[i];
     if (!pub.retain) continue;
-    EDADB_ASSIGN_OR_RETURN(
-        Predicate match,
-        Predicate::Compile("topic = '" + EscapeSqlString(pub.topic) + "'"));
+    const Predicate match =
+        Predicate::ColumnsEqual({{"topic", Value::String(pub.topic)}});
     EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kRetainedTable, match).status());
     EDADB_ASSIGN_OR_RETURN(Table * retained, db_->GetTable(kRetainedTable));
     std::string attrs;

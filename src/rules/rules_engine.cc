@@ -173,8 +173,8 @@ Status RulesEngine::RemoveRule(const std::string& id) {
     MutexLock lock(&mu_);
     EDADB_RETURN_IF_ERROR(matcher_->RemoveRule(id));
   }
-  EDADB_ASSIGN_OR_RETURN(Predicate match,
-                         Predicate::Compile("rule_id = '" + id + "'"));
+  const Predicate match =
+      Predicate::ColumnsEqual({{"rule_id", Value::String(id)}});
   return db_->DeleteWhere(kRulesTable, match).status();
 }
 
@@ -187,8 +187,8 @@ Status RulesEngine::SetRuleEnabled(const std::string& id, bool enabled) {
   copy.enabled = enabled;
   EDADB_RETURN_IF_ERROR(matcher_->RemoveRule(id));
   EDADB_RETURN_IF_ERROR(matcher_->AddRule(std::move(copy)));
-  EDADB_ASSIGN_OR_RETURN(Predicate match,
-                         Predicate::Compile("rule_id = '" + id + "'"));
+  const Predicate match =
+      Predicate::ColumnsEqual({{"rule_id", Value::String(id)}});
   return db_
       ->UpdateWhere(kRulesTable, match,
                     [enabled](Record* row) {

@@ -190,6 +190,61 @@ TEST_F(ProcessorTest, RoutesByTheRuleVersionEachEventMatched) {
   EXPECT_EQ(*processor_->queues()->Depth("other", ""), 1u);
 }
 
+TEST_F(ProcessorTest, DefaultsToOneShardAndRejectsFewer) {
+  EXPECT_EQ(processor_->queues()->num_shards(), 1u);
+  for (const int shards : {0, -1}) {
+    TempDir dir;
+    EventProcessorOptions options;
+    options.data_dir = dir.path();
+    options.shards = shards;
+    const Status opened = EventProcessor::Open(std::move(options)).status();
+    EXPECT_TRUE(opened.IsInvalidArgument()) << shards << ": " << opened;
+  }
+}
+
+// IngestBatch stages every queue route with one EnqueueFanout: one
+// commit per shard its destination queues live on, not one per queue.
+TEST_F(ProcessorTest, IngestBatchCommitsOncePerShard) {
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  for (const int shards : {1, 2}) {
+    TempDir dir;
+    EventProcessorOptions options;
+    options.data_dir = dir.path();
+    options.wal_sync_policy = WalSyncPolicy::kNever;
+    options.shards = shards;
+    std::unique_ptr<EventProcessor> processor =
+        *EventProcessor::Open(std::move(options));
+    ShardRouter* router = processor->queues();
+    // Three destination queues; the first two hash to different shards
+    // when there are two.
+    std::vector<std::string> queues;
+    for (int i = 0; queues.size() < 3; ++i) {
+      const std::string name = "q" + std::to_string(i);
+      if (queues.size() == 1 && shards > 1 &&
+          router->HashShard(name) == router->HashShard(queues[0])) {
+        continue;
+      }
+      queues.push_back(name);
+    }
+    for (const std::string& queue : queues) {
+      ASSERT_OK(router->CreateQueue(queue));
+      ASSERT_OK(processor->rules()->AddRule("to_" + queue, "severity >= 0",
+                                            "queue:" + queue));
+    }
+    std::vector<Event> batch;
+    for (int i = 0; i < 4; ++i) batch.push_back(MakeEvent("reading", i));
+    const uint64_t commits_before = commits->Value();
+    ASSERT_OK(processor->IngestBatch(std::move(batch)));
+    EXPECT_EQ(commits->Value() - commits_before,
+              static_cast<uint64_t>(shards));
+    for (const std::string& queue : queues) {
+      EXPECT_EQ(*router->Depth(queue, ""), 4u) << queue;
+    }
+    EXPECT_EQ(processor->GetStats().routed_to_queues, 12u);
+  }
+}
+
 TEST_F(ProcessorTest, AttachedCapturesFeedThePipeline) {
   Database* db = processor_->db();
   auto schema = Schema::Make({{"sensor", ValueType::kString, false},
@@ -398,11 +453,19 @@ TEST_F(ProcessorTest, StagingFailuresAreReturnedAndCounted) {
   batch.push_back(MakeEvent("reading", 9, "east"));
   batch.push_back(MakeEvent("reading", 9, "west"));
   batch.push_back(MakeEvent("reading", 9, "east"));
-  // east_alerts stages first (its first event comes first): the group's
-  // one transaction fails, then the first per-event retry fails too.
-  failpoint::Action fault;
-  fault.max_fires = 2;
-  failpoint::Arm("mq.enqueue.before_commit", fault);
+  // Both queues share the one shard, so the batch is one fan-out
+  // transaction: east_alerts (its first event comes first), then
+  // west_alerts. The mid-batch site fails that transaction, then
+  // east_alerts' own retry (two messages); west_alerts' own retry (one
+  // message) passes it, and the before-commit site lets it through.
+  // That site then fails east_alerts' first per-event retry.
+  failpoint::Action mid;
+  mid.max_fires = 2;
+  failpoint::Arm("mq.enqueue_batch.mid", mid);
+  failpoint::Action before_commit;
+  before_commit.skip = 1;
+  before_commit.max_fires = 1;
+  failpoint::Arm("mq.enqueue.before_commit", before_commit);
   const Status ingested = processor_->IngestBatch(std::move(batch));
   failpoint::DisarmAll();
 
@@ -424,6 +487,35 @@ TEST_F(ProcessorTest, StagingFailuresAreReturnedAndCounted) {
   // Nothing armed: the same routes stage cleanly and report OK.
   ASSERT_OK(processor_->Ingest(MakeEvent("reading", 9, "east")));
   EXPECT_EQ(processor_->GetStats().route_failures, 1u);
+}
+
+// A queue that cannot be created on first use fails its own routes with
+// the creation error, not the fan-out's NotFound; the batch's other
+// destinations still stage.
+TEST_F(ProcessorTest, QueueCreationFailureFailsOnlyItsRoutes) {
+  ASSERT_OK(processor_->queues()->CreateQueue("east_alerts"));
+  ASSERT_OK(processor_->rules()->AddRule(
+      "east", "region = 'east'", "queue:east_alerts"));
+  ASSERT_OK(processor_->rules()->AddRule(
+      "west", "region = 'west'", "queue:west_new"));
+  std::vector<Event> batch;
+  batch.push_back(MakeEvent("reading", 9, "east"));
+  batch.push_back(MakeEvent("reading", 9, "west"));
+  batch.push_back(MakeEvent("reading", 9, "west"));
+  // Queues are created before the fan-out, so the first commit is
+  // west_new's catalog row.
+  failpoint::Action fault;
+  fault.max_fires = 1;
+  failpoint::Arm("db.commit.before_wal", fault);
+  const Status ingested = processor_->IngestBatch(std::move(batch));
+  failpoint::DisarmAll();
+
+  EXPECT_TRUE(ingested.IsIOError()) << ingested;
+  EXPECT_FALSE(processor_->queues()->HasQueue("west_new"));
+  EXPECT_EQ(*processor_->queues()->Depth("east_alerts", ""), 1u);
+  const EventProcessor::Stats stats = processor_->GetStats();
+  EXPECT_EQ(stats.route_failures, 2u);
+  EXPECT_EQ(stats.routed_to_queues, 1u);
 }
 
 // A group whose commit applied but whose WAL sync failed is not a

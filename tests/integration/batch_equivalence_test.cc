@@ -4,7 +4,8 @@
 // through EnqueueBatch/PublishBatch/IngestBatch — and must end in the
 // same state: same queue contents and message ids, same rule-match
 // sequence, same per-subscriber delivery order, same drain order.
-// Durable fan-out is also held to it across 1 and 4 delivery shards.
+// Ingest and durable fan-out are also held to it across 1 and 4
+// delivery shards.
 // (The one intended difference: within an ingest batch, every rule
 // handler runs before any action routing, so cross-channel
 // interleaving is not compared — per-channel sequences are.)
@@ -150,12 +151,13 @@ struct PipelineStack {
   std::unique_ptr<EventProcessor> processor;
   std::vector<std::string> matched_rules;   // Rule dispatch sequence.
 
-  PipelineStack() {
+  explicit PipelineStack(int shards) {
     clock.SetMicros(kMicrosPerHour);
     EventProcessorOptions options;
     options.data_dir = dir.path();
     options.wal_sync_policy = WalSyncPolicy::kNever;
     options.clock = &clock;
+    options.shards = shards;
     processor = *EventProcessor::Open(std::move(options));
     EXPECT_OK(processor->queues()->CreateQueue("alerts"));
     EXPECT_OK(processor->rules()->AddRule("critical", "severity >= 7",
@@ -192,9 +194,9 @@ Event RandomEvent(Random* rng, uint64_t id) {
   return event;
 }
 
-TEST(BatchEquivalenceTest, IngestBatchMatchesIngestLoop) {
+void RunIngestEquivalence(int shards) {
   testing::SeededRng rng(/*stream=*/12);
-  PipelineStack loop_stack, batch_stack;
+  PipelineStack loop_stack(shards), batch_stack(shards);
   uint64_t next_id = 1;
   for (int round = 0; round < 15; ++round) {
     const size_t batch = 1 + rng.Uniform(6);
@@ -218,12 +220,20 @@ TEST(BatchEquivalenceTest, IngestBatchMatchesIngestLoop) {
   EXPECT_EQ(loop_stats.routed_to_queues, batch_stats.routed_to_queues);
 }
 
-// IngestBatch stages each destination queue's events with one
-// EnqueueBatch. Driven with 64-event batches over several destination
-// queues (an event may match more than one), every queue must end up
-// with the same messages, ids and attributes, in event order, as the
-// per-event Ingest loop leaves.
-TEST(BatchEquivalenceTest, IngestBatchStagesPerQueueInEventOrder) {
+TEST(BatchEquivalenceTest, IngestBatchMatchesIngestLoopOneShard) {
+  RunIngestEquivalence(/*shards=*/1);
+}
+
+TEST(BatchEquivalenceTest, IngestBatchMatchesIngestLoopFourShards) {
+  RunIngestEquivalence(/*shards=*/4);
+}
+
+// IngestBatch stages every destination queue's events with one
+// EnqueueFanout, one transaction per shard. Driven with 64-event
+// batches over several destination queues (an event may match more
+// than one), every queue must end up with the same messages, ids and
+// attributes, in event order, as the per-event Ingest loop leaves.
+void RunPerQueueOrder(int shards) {
   testing::SeededRng rng(/*stream=*/15);
   // PipelineStack already routes severity >= 7 to "alerts"; "urgent" is
   // created on first use by the route itself.
@@ -237,9 +247,16 @@ TEST(BatchEquivalenceTest, IngestBatchStagesPerQueueInEventOrder) {
     EXPECT_OK(rules->AddRule("south", "region = 'south'", "queue:south"));
     EXPECT_OK(rules->AddRule("urgent", "severity >= 8", "queue:urgent"));
   };
-  PipelineStack loop_stack, batch_stack;
+  PipelineStack loop_stack(shards), batch_stack(shards);
   open_stack(&loop_stack);
   open_stack(&batch_stack);
+  if (shards > 1) {
+    std::set<size_t> shards_used;
+    for (const std::string& queue : queues) {
+      shards_used.insert(batch_stack.processor->queues()->ShardOf(queue));
+    }
+    ASSERT_GT(shards_used.size(), 1u) << "every queue landed on one shard";
+  }
   uint64_t next_id = 1;
   for (int round = 0; round < 4; ++round) {
     std::vector<Event> events;
@@ -276,6 +293,14 @@ TEST(BatchEquivalenceTest, IngestBatchStagesPerQueueInEventOrder) {
   EXPECT_EQ(loop_stack.processor->GetStats().routed_to_queues,
             batch_stack.processor->GetStats().routed_to_queues);
   EXPECT_EQ(batch_stack.processor->GetStats().route_failures, 0u);
+}
+
+TEST(BatchEquivalenceTest, IngestBatchStagesPerQueueInEventOrderOneShard) {
+  RunPerQueueOrder(/*shards=*/1);
+}
+
+TEST(BatchEquivalenceTest, IngestBatchStagesPerQueueInEventOrderFourShards) {
+  RunPerQueueOrder(/*shards=*/4);
 }
 
 // ---------------------------------------------------------------------

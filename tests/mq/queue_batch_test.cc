@@ -103,8 +103,9 @@ TEST_F(QueueBatchTest, FanoutStagesEveryTargetInOneTransaction) {
       metrics::Registry::Default()->GetCounter("db.commits");
   const uint64_t commits_before = commits->Value();
   const std::vector<Status> outcomes = queues_->EnqueueFanout(
-      {Req("a"), Req("b"), Req("c")},
-      {{"q", {0, 2}}, {"missing", {0}}, {"q2", {1, 2}}, {"q2", {7}}});
+      std::vector<EnqueueRequest>{Req("a"), Req("b"), Req("c")},
+      std::vector<FanoutTarget>{
+          {"q", {0, 2}}, {"missing", {0}}, {"q2", {1, 2}}, {"q2", {7}}});
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_OK(outcomes[0]);
   EXPECT_TRUE(outcomes[1].IsNotFound()) << outcomes[1];
@@ -133,11 +134,19 @@ TEST_F(QueueBatchTest, FanoutFallsBackPerTargetWhenNothingApplied) {
     testing::FailpointGuard guard;
     testing::ArmError("mq.enqueue_batch.mid", Status::IOError("injected"),
                       /*skip=*/0, /*max_fires=*/2);
+    std::vector<std::vector<MessageId>> ids(2);
     const std::vector<Status> outcomes = queues_->EnqueueFanout(
-        {Req("a"), Req("b")}, {{"q", {0, 1}}, {"q2", {1}}});
+        std::vector<EnqueueRequest>{Req("a"), Req("b")},
+        std::vector<FanoutTarget>{{"q", {0, 1}}, {"q2", {1}}}, ids);
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_TRUE(outcomes[0].IsIOError()) << outcomes[0];
     EXPECT_OK(outcomes[1]);
+    // The failed target hands back no ids, not those of its rolled-back
+    // retry.
+    ASSERT_EQ(ids.size(), 2u);
+    EXPECT_TRUE(ids[0].empty());
+    ASSERT_EQ(ids[1].size(), 1u);
+    EXPECT_EQ(queues_->Peek("q2", ids[1][0])->payload, "b");
   }
   EXPECT_EQ(Drain(10), (std::vector<std::string>{}));
   EXPECT_EQ(*queues_->Depth("q2", ""), 1u);
@@ -152,7 +161,8 @@ TEST_F(QueueBatchTest, FanoutWithFailedSyncIsNotStagedTwice) {
     testing::FailpointGuard guard;
     testing::ArmError("wal.sync");
     const std::vector<Status> outcomes = queues_->EnqueueFanout(
-        {Req("a")}, {{"q", {0}}, {"q2", {0}}});
+        std::vector<EnqueueRequest>{Req("a")},
+        std::vector<FanoutTarget>{{"q", {0}}, {"q2", {0}}});
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_TRUE(outcomes[0].IsDurabilityUnknown()) << outcomes[0];
     EXPECT_TRUE(outcomes[1].IsDurabilityUnknown()) << outcomes[1];

@@ -1,6 +1,10 @@
 // Runtime-rebuild edge cases: locked, delayed and partially-acked
 // delivery state must survive a QueueManager re-attach (the state lives
-// in tables; the in-memory dequeue index is reconstructed).
+// in tables; the in-memory dequeue index is reconstructed), and the
+// catalog a reattach reads must hold what the manager held before.
+
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "mq/queue_manager.h"
@@ -110,6 +114,40 @@ TEST_F(QueueReattachTest, QueueOptionsAndGroupsReload) {
   EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
   DequeueRequest dlq_req;
   EXPECT_TRUE(queues_->Dequeue("dlq", dlq_req)->has_value());
+}
+
+// Catalog deletes match a name as a value, never as predicate text: a
+// quote in a queue name drops that queue alone, in memory and on disk.
+TEST_F(QueueReattachTest, DropQueueWithQuoteInNameDropsOnlyThatQueue) {
+  // One name attacks the __queues delete, the other the group delete.
+  const std::vector<std::string> evil = {"x' OR name <> 'zz",
+                                         "y' OR queue <> 'zz"};
+  ASSERT_OK(queues_->CreateQueue("a"));
+  ASSERT_OK(queues_->AddConsumerGroup("a", "workers"));
+  for (const std::string& name : evil) {
+    ASSERT_OK(queues_->CreateQueue(name));
+    ASSERT_OK(queues_->AddConsumerGroup(name, "workers"));
+  }
+  ASSERT_OK(queues_->CreateQueue("b"));
+  for (const std::string& name : evil) ASSERT_OK(queues_->DropQueue(name));
+  EXPECT_EQ(queues_->ListQueues(), (std::vector<std::string>{"a", "b"}));
+  Reopen();
+  ASSERT_EQ(queues_->ListQueues(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(*queues_->ListConsumerGroups("a"),
+            (std::vector<std::string>{"workers"}));
+}
+
+TEST_F(QueueReattachTest, RemoveGroupWithQuoteInNameRemovesOnlyThatGroup) {
+  const std::string evil = "g2' OR grp <> 'zz";
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->AddConsumerGroup("q", "g1"));
+  ASSERT_OK(queues_->AddConsumerGroup("q", evil));
+  ASSERT_OK(queues_->RemoveConsumerGroup("q", evil));
+  EXPECT_EQ(*queues_->ListConsumerGroups("q"),
+            (std::vector<std::string>{"g1"}));
+  Reopen();
+  EXPECT_EQ(*queues_->ListConsumerGroups("q"),
+            (std::vector<std::string>{"g1"}));
 }
 
 TEST_F(QueueReattachTest, CheckpointThenReattach) {

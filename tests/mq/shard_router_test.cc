@@ -215,6 +215,36 @@ TEST_F(ShardRouterTest, BatchEnqueueTagsEveryId) {
   }
 }
 
+// A fan-out whose targets span shards hands back each target's ids in
+// its request order, tagged with that target's shard; a failed target's
+// ids stay empty.
+TEST_F(ShardRouterTest, FanoutIdsCarryEachTargetsShard) {
+  OpenRouter(4);
+  const std::string near = NameOnShard(0, "near");
+  const std::string far = NameOnShard(2, "far");
+  ASSERT_OK(router_->CreateQueue(near));
+  ASSERT_OK(router_->CreateQueue(far));
+  std::vector<std::vector<MessageId>> ids(3);
+  const std::vector<Status> outcomes = router_->EnqueueFanout(
+      std::vector<EnqueueRequest>{Req("a"), Req("b")},
+      std::vector<FanoutTarget>{{near, {0, 1}}, {far, {1}}, {"missing", {0}}},
+      ids);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_OK(outcomes[0]);
+  EXPECT_OK(outcomes[1]);
+  EXPECT_TRUE(outcomes[2].IsNotFound()) << outcomes[2];
+  ASSERT_EQ(ids.size(), 3u);
+  ASSERT_EQ(ids[0].size(), 2u);
+  ASSERT_EQ(ids[1].size(), 1u);
+  EXPECT_TRUE(ids[2].empty());
+  for (const MessageId id : ids[0]) {
+    EXPECT_EQ(id >> ShardRouter::kShardTagShift, 1u);  // shard 0 + 1
+  }
+  EXPECT_EQ(ids[1][0] >> ShardRouter::kShardTagShift, 3u);  // shard 2 + 1
+  EXPECT_EQ(router_->Peek(near, ids[0][1])->payload, "b");
+  EXPECT_EQ(router_->Peek(far, ids[1][0])->payload, "b");
+}
+
 TEST_F(ShardRouterTest, ShardsHaveIndependentWalStreams) {
   OpenRouter(4);
   // One queue per shard, a message on each: every secondary shard's

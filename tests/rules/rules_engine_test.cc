@@ -20,7 +20,11 @@ class MapRow : public RowAccessor {
 
 class RulesEngineTest : public testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Reopen(); }
+
+  void Reopen() {
+    engine_.reset();
+    db_.reset();
     DatabaseOptions options;
     options.dir = dir_.path();
     options.wal_sync_policy = WalSyncPolicy::kNever;
@@ -104,14 +108,7 @@ TEST_F(RulesEngineTest, RulesPersistAcrossRestart) {
   ASSERT_OK(engine_->AddRule("keeper", "severity >= 5", "alert", 2));
   ASSERT_OK(engine_->AddRule("sleeper", "x = 1", "log"));
   ASSERT_OK(engine_->SetRuleEnabled("sleeper", false));
-  engine_.reset();
-  db_.reset();
-
-  DatabaseOptions options;
-  options.dir = dir_.path();
-  options.wal_sync_policy = WalSyncPolicy::kNever;
-  db_ = *Database::Open(std::move(options));
-  engine_ = *RulesEngine::Attach(db_.get());
+  Reopen();
   EXPECT_EQ(engine_->num_rules(), 2u);
   auto keeper = engine_->FindRule("keeper");
   ASSERT_TRUE(keeper.has_value());
@@ -123,6 +120,31 @@ TEST_F(RulesEngineTest, RulesPersistAcrossRestart) {
   event.values["severity"] = Value::Int64(9);
   EXPECT_EQ(*engine_->Evaluate(event),
             (std::vector<std::string>{"keeper"}));
+}
+
+// The rules table is changed by a rule id taken as a value, never as
+// predicate text: a quote in an id touches that rule alone.
+TEST_F(RulesEngineTest, RemoveRuleWithQuoteInIdRemovesOnlyThatRule) {
+  const std::string evil = "evil' OR rule_id <> '";
+  ASSERT_OK(engine_->AddRule("a", "x = 1", "log"));
+  ASSERT_OK(engine_->AddRule(evil, "x = 1", "log"));
+  ASSERT_OK(engine_->RemoveRule(evil));
+  EXPECT_EQ(engine_->num_rules(), 1u);
+  Reopen();
+  EXPECT_EQ(engine_->num_rules(), 1u);
+  EXPECT_TRUE(engine_->FindRule("a").has_value());
+}
+
+TEST_F(RulesEngineTest, SetRuleEnabledWithQuoteInIdTouchesOnlyThatRule) {
+  const std::string evil = "evil' OR rule_id <> '";
+  ASSERT_OK(engine_->AddRule("a", "x = 1", "log"));
+  ASSERT_OK(engine_->AddRule(evil, "x = 1", "log"));
+  ASSERT_OK(engine_->SetRuleEnabled(evil, false));
+  MapRow event;
+  event.values["x"] = Value::Int64(1);
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"a"}));
+  Reopen();
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"a"}));
 }
 
 TEST_F(RulesEngineTest, NaiveMatcherVariantWorks) {
