@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -94,9 +95,10 @@ inline std::string RandomRuleCondition(Random* rng, int num_attrs,
 // `--json[=path]` flag (default path "bench.json") in addition to the
 // standard --benchmark_* flags. With --json, per-benchmark results are
 // ALSO written as a JSON array — one object per benchmark run with
-// name, iterations, ops/sec and p50/p99 latency — so scripts/bench.sh
-// and the CI bench-smoke stage can consume results without scraping
-// console output.
+// name, iterations, ops/sec, mean latency and p50/p99 latency (null
+// unless the bench records percentiles) — so scripts/bench.sh and the
+// CI bench-smoke stage can consume results without scraping console
+// output.
 
 inline std::string JsonEscape(const std::string& in) {
   std::string out;
@@ -129,11 +131,11 @@ inline std::string JsonEscape(const std::string& in) {
 }
 
 /// Console reporter that additionally collects every iteration run and
-/// writes the JSON array to `path` in Finalize(). Latency fields come
-/// from user counters "p50_us"/"p99_us" when the benchmark records
-/// them (see BM_PipelineLatency); otherwise both report the mean
-/// per-iteration wall time, which is the right scalar for simple
-/// throughput loops.
+/// writes the JSON array to `path` in Finalize(). `mean_us` is the mean
+/// per-iteration wall time. `p50_us`/`p99_us` come from the user
+/// counters of those names when the benchmark records them (see
+/// BM_PipelineLatency) and are `null` otherwise: a mean is not a
+/// percentile.
 class JsonFileReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonFileReporter(std::string path) : path_(std::move(path)) {}
@@ -147,15 +149,12 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       const double per_iter_us = run.real_accumulated_time / iters * 1e6;
-      auto counter_or = [&run](const char* key, double fallback) {
-        auto it = run.counters.find(key);
-        if (it == run.counters.end()) return fallback;
-        return static_cast<double>(it->second);
-      };
-      entry.ops_per_sec = counter_or(
-          "items_per_second", per_iter_us > 0 ? 1e6 / per_iter_us : 0.0);
-      entry.p50_us = counter_or("p50_us", per_iter_us);
-      entry.p99_us = counter_or("p99_us", per_iter_us);
+      entry.ops_per_sec = Counter(run, "items_per_second")
+                              .value_or(per_iter_us > 0 ? 1e6 / per_iter_us
+                                                        : 0.0);
+      entry.mean_us = per_iter_us;
+      entry.p50_us = Counter(run, "p50_us");
+      entry.p99_us = Counter(run, "p99_us");
       // Preserve every user counter verbatim (sorted map iteration →
       // stable output) so benchmarks can export extra dimensions —
       // e.g. bench_pubsub's subscribers/miss_rate — without schema
@@ -177,8 +176,9 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
         out << "  {\"name\": \"" << JsonEscape(e.name) << "\""
             << ", \"iterations\": " << e.iterations
             << ", \"ops_per_sec\": " << Num(e.ops_per_sec)
-            << ", \"p50_us\": " << Num(e.p50_us)
-            << ", \"p99_us\": " << Num(e.p99_us);
+            << ", \"mean_us\": " << Num(e.mean_us)
+            << ", \"p50_us\": " << OptionalNum(e.p50_us)
+            << ", \"p99_us\": " << OptionalNum(e.p99_us);
         if (!e.counters.empty()) {
           out << ", \"counters\": {";
           for (size_t c = 0; c < e.counters.size(); ++c) {
@@ -200,13 +200,29 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
     std::string name;
     int64_t iterations = 0;
     double ops_per_sec = 0;
-    double p50_us = 0;
-    double p99_us = 0;
+    double mean_us = 0;
+    std::optional<double> p50_us;
+    std::optional<double> p99_us;
     std::vector<std::pair<std::string, double>> counters;
   };
 
+  /// The run's user counter `key`, when it recorded one.
+  static std::optional<double> Counter(const Run& run, const char* key) {
+    auto it = run.counters.find(key);
+    if (it == run.counters.end()) return std::nullopt;
+    return static_cast<double>(it->second);
+  }
+
   /// JSON has no NaN/Infinity; clamp non-finite values to 0.
   static double Num(double v) { return std::isfinite(v) ? v : 0.0; }
+
+  /// `v` as a JSON number, or null when absent.
+  static std::string OptionalNum(const std::optional<double>& v) {
+    if (!v.has_value()) return "null";
+    std::ostringstream out;
+    out << Num(*v);
+    return out.str();
+  }
 
   std::string path_;
   std::vector<Entry> entries_;

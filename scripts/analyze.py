@@ -135,7 +135,7 @@ class ClassInfo:
         self.file = file
         self.line = line
         # field name -> registered lock name ("Class::mu_") for named
-        # Mutex/RecursiveMutex members; unnamed mutex fields map to
+        # Mutex members; unnamed mutex fields map to
         # "Class::field" so they still have a stable identity.
         self.mutexes = {}
         # field name -> bare class name of its pointee/value type, for
@@ -363,13 +363,13 @@ BLOCKING_PRIMS = {
 CALL_RE = re.compile(
     r"(?:([A-Za-z_]\w*)\s*(->|\.|::)\s*)?([A-Za-z_~]\w*)\s*\(")
 ACQUIRE_RE = re.compile(
-    r"\b(MutexLock|RecursiveMutexLock)\s+\w+\s*\(\s*&\s*([\w.>\-]+)\s*\)")
+    r"\b(MutexLock)\s+\w+\s*\(\s*&\s*([\w.>\-]+)\s*\)")
 CV_WAIT_RE = re.compile(
     r"([A-Za-z_][\w.>\-]*)\s*\.\s*(Wait|WaitForMicros)\s*\(\s*&\s*([\w.>\-]+)")
 RAW_BLOCK_RE = re.compile(r"::(fdatasync|fsync|write|pwrite)\s*\(")
 SLEEP_RE = re.compile(r"\b(sleep_for|usleep|nanosleep)\s*\(")
 MUTEX_DECL_RE = re.compile(
-    r"\b(Mutex|RecursiveMutex)\s+(\w+)\s*(?:\{\s*\"([^\"]*)\"\s*\})?\s*[;{]")
+    r"\b(Mutex)\s+(\w+)\s*(?:\{\s*\"([^\"]*)\"\s*\})?\s*[;{]")
 FIELD_TYPE_RES = [
     re.compile(r"std::(?:unique_ptr|shared_ptr)\s*<\s*([A-Za-z_]\w*)\s*>"
                r"\s+(\w+)\s*[;={]"),
@@ -718,7 +718,7 @@ def builtin_parse_file(model, path, rel, phase):
             kind, pointee = "thread-local", None
         elif ATOMIC_DECL_RE.search(ttext):
             kind, pointee = "atomic", None
-        elif re.search(r"\b(?:Recursive)?Mutex\b|\bstd\s*::\s*"
+        elif re.search(r"\bMutex\b|\bstd\s*::\s*"
                        r"(?:recursive_)?mutex\b", ttext):
             kind, pointee = "mutex", None
         elif re.search(r"[*&]\s*const$", ttext) or (
@@ -920,8 +920,8 @@ def builtin_parse_file(model, path, rel, phase):
             recv, op, name = m.group(1), m.group(2), m.group(3)
             if name in CPP_KEYWORDS or name.startswith(CALL_SKIP_PREFIXES):
                 continue
-            if name in ("Lock", "Unlock", "MutexLock", "RecursiveMutexLock",
-                        "Wait", "WaitForMicros", "Signal", "SignalAll"):
+            if name in ("Lock", "Unlock", "MutexLock", "Wait",
+                        "WaitForMicros", "Signal", "SignalAll"):
                 continue
             if recv in ("std", "chrono", "this_thread"):
                 continue
@@ -1161,18 +1161,12 @@ class Analyzer:
         for (a, b) in edges:
             if a != b:
                 graph[a].add(b)
-        # Self-edges on non-recursive locks are immediate deadlocks.
-        rec_names = set()
-        for c in self.model.classes.values():
-            for fld, name in c.mutexes.items():
-                if fld in c.field_types and "Recursive" in \
-                        c.field_types.get(fld, ""):
-                    rec_names.add(name)
+        # Self-edges are immediate deadlocks: no edadb mutex is recursive.
         for (a, b), (file, line, ev) in sorted(edges.items()):
-            if a == b and a not in rec_names:
+            if a == b:
                 findings.append(Finding(
                     "lock-order", f"{a}->{a}", file, line,
-                    f"re-acquisition of non-recursive {a} (self-deadlock)",
+                    f"re-acquisition of {a} (self-deadlock)",
                     [ev]))
         # Cycles: DFS over the edge graph, canonicalized by rotation.
         seen_cycles = set()

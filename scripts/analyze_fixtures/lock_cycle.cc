@@ -4,10 +4,8 @@
 //    function takes one lock directly and reaches the other through a
 //    typed-receiver call, so detecting it requires the inter-procedural
 //    may-acquire closure, not just per-function nesting.
-// 2. A self-deadlock: re-acquiring a non-recursive mutex through a
-//    this-call while it is already held.
-// 3. Negative control: the same re-acquisition shape on a
-//    RecursiveMutex, which must NOT fire.
+// 2. A self-deadlock: re-acquiring a mutex through a this-call while
+//    it is already held.
 #include "support.h"
 
 namespace fx {
@@ -57,19 +55,6 @@ class SelfDead {
 
  private:
   Mutex mu_{"SelfDead::mu_"};
-};
-
-// Negative: recursive mutexes may be re-acquired on the same thread.
-class Reentrant {
- public:
-  void Outer() {
-    RecursiveMutexLock l(&rmu_);
-    Inner();
-  }
-  void Inner() { RecursiveMutexLock l(&rmu_); }
-
- private:
-  RecursiveMutex rmu_{"Reentrant::rmu_"};
 };
 
 }  // namespace fx

@@ -28,21 +28,9 @@ class Mutex {
   void Unlock() {}
 };
 
-class RecursiveMutex {
- public:
-  explicit RecursiveMutex(const char* name) { (void)name; }
-  void Lock() {}
-  void Unlock() {}
-};
-
 class MutexLock {
  public:
   explicit MutexLock(Mutex* mu) { (void)mu; }
-};
-
-class RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex* mu) { (void)mu; }
 };
 
 class CondVar {

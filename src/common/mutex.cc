@@ -22,12 +22,10 @@ constexpr bool kEnabledByDefault = true;
 
 std::atomic<bool> g_enabled{kEnabledByDefault};
 
-/// One lock a thread currently holds. `count` > 1 only for recursive
-/// mutexes.
+/// One lock a thread currently holds.
 struct HeldLock {
   const void* mutex;
   const char* name;  // nullptr = unnamed, excluded from ordering.
-  int count;
 };
 
 /// The locks this thread holds, in acquisition order. Bookkeeping is
@@ -86,8 +84,8 @@ bool FindPath(const Graph& graph, const std::string& from,
 
 [[noreturn]] void ReportSelfDeadlock(const char* name) {
   std::fprintf(stderr,
-               "edadb lock error: recursive acquisition of non-recursive "
-               "mutex '%s' (self-deadlock)\n",
+               "edadb lock error: recursive acquisition of mutex '%s' "
+               "(self-deadlock)\n",
                name != nullptr ? name : "<unnamed>");
   std::fflush(stderr);
   std::abort();
@@ -109,14 +107,10 @@ void ResetForTesting() {
 
 namespace internal {
 
-void RecordAcquire(const void* mutex, const char* name, bool recursive) {
+void RecordAcquire(const void* mutex, const char* name) {
   if (!IsEnabled()) return;
-  for (HeldLock& held : t_held) {
-    if (held.mutex == mutex) {
-      if (!recursive) ReportSelfDeadlock(name);
-      ++held.count;
-      return;
-    }
+  for (const HeldLock& held : t_held) {
+    if (held.mutex == mutex) ReportSelfDeadlock(name);
   }
   if (name != nullptr) {
     Graph& graph = GetGraph();
@@ -136,14 +130,14 @@ void RecordAcquire(const void* mutex, const char* name, bool recursive) {
       out.insert(name);
     }
   }
-  t_held.push_back({mutex, name, 1});
+  t_held.push_back({mutex, name});
 }
 
 void RecordRelease(const void* mutex) {
   if (!IsEnabled()) return;
   for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
     if (it->mutex == mutex) {
-      if (--it->count == 0) t_held.erase(std::next(it).base());
+      t_held.erase(std::next(it).base());
       return;
     }
   }
@@ -154,14 +148,7 @@ void RecordRelease(const void* mutex) {
 
 void CondVar::Wait(Mutex* mu) { cv_.wait(*mu); }
 
-void CondVar::Wait(RecursiveMutex* mu) { cv_.wait(*mu); }
-
 bool CondVar::WaitForMicros(Mutex* mu, int64_t micros) {
-  return cv_.wait_for(*mu, std::chrono::microseconds(micros)) ==
-         std::cv_status::no_timeout;
-}
-
-bool CondVar::WaitForMicros(RecursiveMutex* mu, int64_t micros) {
   return cv_.wait_for(*mu, std::chrono::microseconds(micros)) ==
          std::cv_status::no_timeout;
 }

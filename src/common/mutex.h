@@ -49,13 +49,15 @@ namespace edadb {
 
 namespace lock_graph {
 
-/// Runtime lock-order checker behind the Mutex/RecursiveMutex wrappers.
-/// Named mutexes are nodes in a global acquired-before graph keyed by
-/// name (so ordering is per lock *class*, e.g. "QueueManager::mu_", not
-/// per instance). Each acquisition while other locks are held records
+/// Runtime lock-order checker behind the Mutex wrapper. Named mutexes
+/// are nodes in a global acquired-before graph keyed by name (so
+/// ordering is per lock *class*, e.g. "QueueManager::mu_", not per
+/// instance). Each acquisition while other locks are held records
 /// held->acquired edges; an edge that closes a cycle is a lock-order
 /// inversion and aborts the process with the full cycle, which turns
-/// latent deadlocks into deterministic test failures.
+/// latent deadlocks into deterministic test failures. No edadb mutex is
+/// recursive: re-acquiring one the thread already holds aborts as a
+/// self-deadlock, so "nothing re-enters under this lock" is checked.
 ///
 /// Enabled by default in debug builds (!NDEBUG); tests and sanitizer
 /// runs may toggle it explicitly. Disabled, the cost per Lock() is one
@@ -67,7 +69,7 @@ bool IsEnabled();
 void ResetForTesting();
 
 namespace internal {
-void RecordAcquire(const void* mutex, const char* name, bool recursive);
+void RecordAcquire(const void* mutex, const char* name);
 void RecordRelease(const void* mutex);
 }  // namespace internal
 
@@ -86,7 +88,7 @@ class EDADB_CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() EDADB_ACQUIRE() {
-    lock_graph::internal::RecordAcquire(this, name_, /*recursive=*/false);
+    lock_graph::internal::RecordAcquire(this, name_);
     mu_.lock();
   }
 
@@ -97,7 +99,7 @@ class EDADB_CAPABILITY("mutex") Mutex {
 
   bool TryLock() EDADB_TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    lock_graph::internal::RecordAcquire(this, name_, /*recursive=*/false);
+    lock_graph::internal::RecordAcquire(this, name_);
     return true;
   }
 
@@ -109,35 +111,6 @@ class EDADB_CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex mu_;
-  const char* name_ = nullptr;
-};
-
-/// std::recursive_mutex wrapper. Needed where database trigger
-/// callbacks re-enter the owner while it already holds the lock
-/// (QueueManager's enqueue -> commit -> trigger -> runtime update path).
-class EDADB_CAPABILITY("recursive_mutex") RecursiveMutex {
- public:
-  RecursiveMutex() = default;
-  explicit RecursiveMutex(const char* name) : name_(name) {}
-
-  RecursiveMutex(const RecursiveMutex&) = delete;
-  RecursiveMutex& operator=(const RecursiveMutex&) = delete;
-
-  void Lock() EDADB_ACQUIRE() {
-    lock_graph::internal::RecordAcquire(this, name_, /*recursive=*/true);
-    mu_.lock();
-  }
-
-  void Unlock() EDADB_RELEASE() {
-    mu_.unlock();
-    lock_graph::internal::RecordRelease(this);
-  }
-
-  void lock() EDADB_ACQUIRE() { Lock(); }
-  void unlock() EDADB_RELEASE() { Unlock(); }
-
- private:
-  std::recursive_mutex mu_;
   const char* name_ = nullptr;
 };
 
@@ -154,24 +127,7 @@ class EDADB_SCOPED_CAPABILITY MutexLock {
   Mutex* const mu_;
 };
 
-/// RAII guard for RecursiveMutex.
-class EDADB_SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex* mu) EDADB_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_->Lock();
-  }
-  ~RecursiveMutexLock() EDADB_RELEASE() { mu_->Unlock(); }
-
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
- private:
-  RecursiveMutex* const mu_;
-};
-
-/// Condition variable working over the annotated wrappers. Waiters must
-/// hold the mutex exactly once (also true of the std types it wraps).
+/// Condition variable working over the annotated Mutex.
 class CondVar {
  public:
   CondVar() = default;
@@ -183,13 +139,9 @@ class CondVar {
   // lock()/unlock(), which the analysis cannot model inside one
   // function body; REQUIRES covers callers, NO_ANALYSIS the bodies.
   void Wait(Mutex* mu) EDADB_REQUIRES(mu) EDADB_NO_THREAD_SAFETY_ANALYSIS;
-  void Wait(RecursiveMutex* mu) EDADB_REQUIRES(mu)
-      EDADB_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Returns false on timeout.
   bool WaitForMicros(Mutex* mu, int64_t micros) EDADB_REQUIRES(mu)
-      EDADB_NO_THREAD_SAFETY_ANALYSIS;
-  bool WaitForMicros(RecursiveMutex* mu, int64_t micros) EDADB_REQUIRES(mu)
       EDADB_NO_THREAD_SAFETY_ANALYSIS;
 
   void Signal();

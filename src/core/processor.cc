@@ -27,10 +27,8 @@ Result<std::unique_ptr<EventProcessor>> EventProcessor::Open(
       processor->queues_,
       ShardRouter::Open(processor->db_.get(),
                         static_cast<size_t>(processor->options_.shards)));
-  EDADB_ASSIGN_OR_RETURN(
-      processor->rules_,
-      RulesEngine::Attach(processor->db_.get(),
-                          processor->options_.matcher_kind));
+  EDADB_ASSIGN_OR_RETURN(processor->rules_,
+                         RulesEngine::Attach(processor->db_.get()));
   EDADB_ASSIGN_OR_RETURN(
       processor->broker_,
       Broker::Attach(processor->db_.get(), processor->queues_.get()));

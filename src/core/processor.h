@@ -25,7 +25,6 @@ namespace edadb {
 struct EventProcessorOptions {
   std::string data_dir;
   WalSyncPolicy wal_sync_policy = WalSyncPolicy::kOnCommit;
-  RulesEngine::MatcherKind matcher_kind = RulesEngine::MatcherKind::kIndexed;
   Clock* clock = nullptr;
   /// Record routing decisions in the __audit table ("operational
   /// characteristics: security, auditing, tracking"). One extra insert

@@ -669,9 +669,9 @@ Status Database::CommitOps(std::vector<PendingOp> ops) {
     CommitsCounter()->Add(1);
   }
 
-  // AFTER triggers observe applied state, so state derived from them
-  // (queue runtimes) matches the tables even when the sync failed.
-  // Their errors are logged, not propagated: the change is applied.
+  // AFTER triggers observe applied state, so what they capture matches
+  // the tables even when the sync failed. Their errors are logged, not
+  // propagated: the change is applied.
   for (AfterEvent& ev : after_events) {
     PendingOp& op = ops[ev.op];
     TriggerEvent event;
@@ -814,13 +814,19 @@ Status Transaction::DeleteRow(const std::string& table, RowId row_id) {
 Status Transaction::Commit() {
   if (finished_) return Status::FailedPrecondition("transaction finished");
   finished_ = true;
-  return db_->CommitOps(std::move(ops_));
+  const Status committed = db_->CommitOps(std::move(ops_));
+  if (CommitApplied(committed)) {
+    for (const std::function<void()>& hook : on_applied_) hook();
+  }
+  on_applied_.clear();
+  return committed;
 }
 
 Status Transaction::Rollback() {
   if (finished_) return Status::FailedPrecondition("transaction finished");
   finished_ = true;
   ops_.clear();
+  on_applied_.clear();
   return Status::OK();
 }
 

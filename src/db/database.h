@@ -1,6 +1,7 @@
 #ifndef EDADB_DB_DATABASE_H_
 #define EDADB_DB_DATABASE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -227,8 +228,8 @@ class Database {
 
 /// A buffered transaction. Operations are validated eagerly (BEFORE
 /// triggers fire at call time and may rewrite the row) but logged and
-/// applied atomically at Commit(); AFTER triggers fire post-commit.
-/// Not thread-safe; use from one thread.
+/// applied atomically at Commit(); AFTER triggers fire post-commit, then
+/// the OnApplied hooks run. Not thread-safe; use from one thread.
 class Transaction {
  public:
   ~Transaction();
@@ -245,8 +246,16 @@ class Transaction {
   /// but the WAL sync failed (not a rollback).
   EDADB_NODISCARD Status Commit();
 
-  /// Discards buffered operations.
+  /// Discards buffered operations and OnApplied hooks.
   EDADB_NODISCARD Status Rollback();
+
+  /// Runs `hook` on the committing thread once Commit() applied this
+  /// transaction (CommitApplied) and its AFTER triggers fired. A
+  /// rollback, or a commit that applied nothing, drops it. What `hook`
+  /// captures must outlive the transaction.
+  void OnApplied(std::function<void()> hook) {
+    on_applied_.push_back(std::move(hook));
+  }
 
   size_t num_pending() const { return ops_.size(); }
 
@@ -256,6 +265,7 @@ class Transaction {
 
   Database* db_;
   std::vector<Database::PendingOp> ops_;
+  std::vector<std::function<void()>> on_applied_;
   bool finished_ = false;
 };
 

@@ -175,12 +175,12 @@ Result<std::unique_ptr<QueueManager>> QueueManager::Attach(Database* db,
   manager->shard_commit_latency_ =
       registry->GetHistogram(prefix + "commit_latency_us");
   // Depth/inflight are computed at snapshot time rather than maintained
-  // on every mutation: the collector takes mu_ (recursive), which is
-  // safe because Registry::Snapshot invokes it without registry locks.
+  // on every mutation: the collector takes mu_, which is safe because
+  // Registry::Snapshot invokes it without registry locks.
   QueueManager* raw = manager.get();
   manager->metrics_collector_ = metrics::Registry::Default()->RegisterCollector(
       [raw, prefix](std::vector<metrics::MetricSnapshot>* out) {
-        RecursiveMutexLock lock(&raw->mu_);
+        MutexLock lock(&raw->mu_);
         int64_t shard_depth = 0;
         int64_t shard_inflight = 0;
         for (const auto& [name, state] : raw->queues_) {
@@ -260,11 +260,10 @@ Status QueueManager::ReloadFromMeta() {
     }
     return true;
   });
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   queues_ = std::move(loaded);
   for (auto& [name, state] : queues_) {
     EDADB_ASSIGN_OR_RETURN(state.tables, ResolveTables(name));
-    EDADB_RETURN_IF_ERROR(RegisterQueueTriggers(name));
     EDADB_RETURN_IF_ERROR(RebuildRuntimeLocked(name, &state));
   }
   return Status::OK();
@@ -284,33 +283,7 @@ Result<QueueManager::QueueTables> QueueManager::ResolveTables(
 Status QueueManager::CreateQueueStorage(const std::string& name) {
   EDADB_RETURN_IF_ERROR(
       db_->CreateTable(MsgTableName(name), MsgSchema()).status());
-  EDADB_RETURN_IF_ERROR(
-      db_->CreateTable(DelivTableName(name), DelivSchema()).status());
-  return RegisterQueueTriggers(name);
-}
-
-Status QueueManager::RegisterQueueTriggers(const std::string& name) {
-  TriggerDef msg_trigger;
-  msg_trigger.name = "__qt_" + name + "_msgs";
-  msg_trigger.table = MsgTableName(name);
-  msg_trigger.timing = TriggerTiming::kAfter;
-  msg_trigger.ops = kDmlInsert;
-  msg_trigger.action = [this, name](const TriggerEvent& event) {
-    OnMessageInserted(name, event.row_id, *event.new_row);
-    return Status::OK();
-  };
-  EDADB_RETURN_IF_ERROR(db_->CreateTrigger(std::move(msg_trigger)));
-
-  TriggerDef dlv_trigger;
-  dlv_trigger.name = "__qt_" + name + "_dlv";
-  dlv_trigger.table = DelivTableName(name);
-  dlv_trigger.timing = TriggerTiming::kAfter;
-  dlv_trigger.ops = kDmlInsert;
-  dlv_trigger.action = [this, name](const TriggerEvent& event) {
-    OnDeliveryInserted(name, event.row_id, *event.new_row);
-    return Status::OK();
-  };
-  return db_->CreateTrigger(std::move(dlv_trigger));
+  return db_->CreateTable(DelivTableName(name), DelivSchema()).status();
 }
 
 Status QueueManager::RebuildRuntimeLocked(const std::string& name,
@@ -370,7 +343,7 @@ Status QueueManager::RebuildRuntimeLocked(const std::string& name,
 
 Status QueueManager::CreateQueue(const std::string& name,
                                  QueueCreateOptions options) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   if (name.empty()) return Status::InvalidArgument("queue needs a name");
   if (queues_.count(name) > 0) {
     return Status::AlreadyExists("queue '" + name + "' already exists");
@@ -393,17 +366,10 @@ Status QueueManager::CreateQueue(const std::string& name,
 }
 
 Status QueueManager::DropQueue(const std::string& name) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(name);
   if (it == queues_.end()) {
     return Status::NotFound("queue '" + name + "'");
-  }
-  // A missing trigger is fine (partially-created queue); any other
-  // failure would leave a live trigger firing on a dropped table, so it
-  // must abort the drop.
-  for (const char* suffix : {"_msgs", "_dlv"}) {
-    const Status dropped = db_->DropTrigger("__qt_" + name + suffix);
-    if (!dropped.ok() && !dropped.IsNotFound()) return dropped;
   }
   EDADB_RETURN_IF_ERROR(db_->DropTable(it->second.tables.msg_table));
   EDADB_RETURN_IF_ERROR(db_->DropTable(it->second.tables.dlv_table));
@@ -418,12 +384,12 @@ Status QueueManager::DropQueue(const std::string& name) {
 }
 
 bool QueueManager::HasQueue(const std::string& name) const {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   return queues_.count(name) > 0;
 }
 
 std::vector<std::string> QueueManager::ListQueues() const {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   std::vector<std::string> names;
   names.reserve(queues_.size());
   for (const auto& [name, state] : queues_) names.push_back(name);
@@ -432,7 +398,7 @@ std::vector<std::string> QueueManager::ListQueues() const {
 
 Status QueueManager::AddConsumerGroup(const std::string& queue,
                                       const std::string& group) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   if (group.empty()) {
@@ -453,7 +419,7 @@ Status QueueManager::AddConsumerGroup(const std::string& queue,
 
 Status QueueManager::RemoveConsumerGroup(const std::string& queue,
                                          const std::string& group) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   if (it->second.explicit_groups.erase(group) == 0) {
@@ -478,7 +444,7 @@ Status QueueManager::RemoveConsumerGroup(const std::string& queue,
 
 Result<std::vector<std::string>> QueueManager::ListConsumerGroups(
     const std::string& queue) const {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   return std::vector<std::string>(it->second.explicit_groups.begin(),
@@ -511,7 +477,7 @@ std::vector<Status> QueueManager::EnqueueFanout(
   std::vector<Destination> dests;
   dests.reserve(targets.size());
   {
-    RecursiveMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     for (size_t t = 0; t < targets.size(); ++t) {
       const FanoutTarget& target = targets[t];
       for (const size_t i : target.requests) {
@@ -565,7 +531,11 @@ Status QueueManager::StageAndCommit(const EnqueueRequest* requests,
                                     size_t num_dests) {
   const WallMicros now = clock_->WallNow();
   auto txn = db_->BeginTransaction();
-  size_t staged = 0;
+  // Every destination's staged messages, destination after destination.
+  std::vector<StagedMessage> staged;
+  size_t total = 0;
+  for (size_t d = 0; d < num_dests; ++d) total += dests[d].requests->size();
+  staged.reserve(total);
   for (size_t d = 0; d < num_dests; ++d) {
     std::vector<MessageId>* ids = dests[d].ids;
     if (ids != nullptr) {
@@ -575,23 +545,36 @@ Status QueueManager::StageAndCommit(const EnqueueRequest* requests,
     for (const size_t i : *dests[d].requests) {
       // Crash between staged messages of a batch: the transaction never
       // commits, so the whole batch must vanish (all-or-nothing).
-      if (staged > 0) FAILPOINT("mq.enqueue_batch.mid");
-      EDADB_ASSIGN_OR_RETURN(MessageId id,
+      if (!staged.empty()) FAILPOINT("mq.enqueue_batch.mid");
+      EDADB_ASSIGN_OR_RETURN(StagedMessage message,
                              StageMessage(txn.get(), dests[d].target,
                                           requests[i], attrs[i], now));
-      if (ids != nullptr) ids->push_back(id);
-      ++staged;
+      if (ids != nullptr) ids->push_back(message.id);
+      staged.push_back(std::move(message));
     }
   }
   // Ops staged but not committed: a crash here must lose the batch
   // entirely (no body rows, no delivery rows).
   FAILPOINT("mq.enqueue.before_commit");
+  Status committed;
   {
     metrics::LatencyScope commit_latency(shard_commit_latency_);
-    EDADB_RETURN_IF_ERROR(txn->Commit());
+    committed = txn->Commit();
   }
-  EnqueuedCounter()->Add(staged);
-  if (shard_enqueues_ != nullptr) shard_enqueues_->Add(staged);
+  if (!CommitApplied(committed)) return committed;
+  {
+    MutexLock lock(&mu_);
+    std::span<const StagedMessage> rest(staged);
+    for (size_t d = 0; d < num_dests; ++d) {
+      const size_t count = dests[d].requests->size();
+      AddStagedLocked(dests[d].target, rest.first(count));
+      rest = rest.subspan(count);
+    }
+  }
+  enqueue_cv_.SignalAll();
+  EDADB_RETURN_IF_ERROR(committed);
+  EnqueuedCounter()->Add(total);
+  if (shard_enqueues_ != nullptr) shard_enqueues_->Add(total);
   return Status::OK();
 }
 
@@ -619,8 +602,8 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
   const SchemaPtr ledger_schema = ledger->schema();
   const std::vector<std::string> attrs = EncodeAttributeLists(requests, count);
   const WallMicros now = clock_->WallNow();
-  std::vector<std::optional<MessageId>> ids;
-  ids.reserve(count);
+  std::vector<StagedMessage> staged;
+  staged.reserve(count);
   auto txn = db_->BeginTransaction();
   for (size_t i = 0; i < count; ++i) {
     EDADB_RETURN_IF_ERROR(
@@ -629,9 +612,9 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
                                            Value::Timestamp(now.micros())}))
             .status());
     EDADB_ASSIGN_OR_RETURN(
-        MessageId id,
+        StagedMessage message,
         StageMessage(txn.get(), target, requests[i], attrs[i], now));
-    ids.emplace_back(id);
+    staged.push_back(std::move(message));
   }
   // Key rows + message + delivery rows commit atomically: a key is
   // consumed iff its message became visible. Commit-time validation
@@ -643,11 +626,12 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
     metrics::LatencyScope commit_latency(shard_commit_latency_);
     committed = txn->Commit();
   }
+  std::vector<std::optional<MessageId>> ids;
+  ids.reserve(count);
   if (committed.IsAlreadyExists()) {
     if (count == 1) return std::vector<std::optional<MessageId>>{std::nullopt};
     // Some key was consumed already (a handoff replayed after a crash):
     // stage key by key, so only the consumed ones come back nullopt.
-    ids.clear();
     for (size_t i = 0; i < count; ++i) {
       EDADB_ASSIGN_OR_RETURN(std::vector<std::optional<MessageId>> one,
                              DedupSpan(queue, &requests[i], &keys[i], 1));
@@ -655,16 +639,23 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
     }
     return ids;
   }
+  if (!CommitApplied(committed)) return committed;
+  {
+    MutexLock lock(&mu_);
+    AddStagedLocked(target, staged);
+  }
+  enqueue_cv_.SignalAll();
   EDADB_RETURN_IF_ERROR(committed);
   EnqueuedCounter()->Add(count);
   if (shard_enqueues_ != nullptr) shard_enqueues_->Add(count);
   if (shard_handoffs_ != nullptr) shard_handoffs_->Add(count);
+  for (const StagedMessage& message : staged) ids.emplace_back(message.id);
   return ids;
 }
 
 Result<QueueManager::StagingTarget> QueueManager::ResolveStaging(
     const std::string& queue) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   return ResolveStagingLocked(queue);
 }
 
@@ -675,82 +666,90 @@ Result<QueueManager::StagingTarget> QueueManager::ResolveStagingLocked(
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   const QueueState& state = it->second;
-  return StagingTarget{state.tables, EffectiveGroups(state)};
+  return StagingTarget{queue, state.tables, EffectiveGroups(state)};
 }
 
-Result<MessageId> QueueManager::StageMessage(Transaction* txn,
-                                             const StagingTarget& target,
-                                             const EnqueueRequest& request,
-                                             const std::string& attrs,
-                                             WallMicros now) {
-  const WallMicros visible_at = now + request.delay_micros;
+Result<QueueManager::StagedMessage> QueueManager::StageMessage(
+    Transaction* txn, const StagingTarget& target,
+    const EnqueueRequest& request, const std::string& attrs,
+    WallMicros now) {
+  StagedMessage staged;
+  staged.priority = request.priority;
+  staged.visible_at = now + request.delay_micros;
+  if (request.ttl_micros > 0) staged.expires_at = now + request.ttl_micros;
   // MsgSchema() field order.
-  Record msg_row(
-      target.tables.msg_schema,
-      {Value::Timestamp(now.micros()), Value::Timestamp(visible_at.micros()),
-       Value::Timestamp(request.ttl_micros > 0
-                            ? (now + request.ttl_micros).micros()
-                            : 0),
-       Value::Int64(request.priority), Value::String(request.correlation_id),
-       Value::String(attrs), Value::String(request.payload)});
-  EDADB_ASSIGN_OR_RETURN(MessageId id,
-                         txn->Insert(target.tables.msg_table,
-                                     std::move(msg_row)));
+  Record msg_row(target.tables.msg_schema,
+                 {Value::Timestamp(now.micros()),
+                  Value::Timestamp(staged.visible_at.micros()),
+                  Value::Timestamp(staged.expires_at.micros()),
+                  Value::Int64(request.priority),
+                  Value::String(request.correlation_id), Value::String(attrs),
+                  Value::String(request.payload)});
+  EDADB_ASSIGN_OR_RETURN(staged.id, txn->Insert(target.tables.msg_table,
+                                                std::move(msg_row)));
+  staged.deliv_rows.reserve(target.groups.size());
   for (const std::string& group : target.groups) {
-    EDADB_RETURN_IF_ERROR(
+    EDADB_ASSIGN_OR_RETURN(
+        const RowId deliv_row,
         txn->Insert(target.tables.dlv_table,
-                    DeliveryRecord(target.tables.dlv_schema, group, id,
-                                   visible_at, WallMicros(), 0))
-            .status());
+                    DeliveryRecord(target.tables.dlv_schema, group, staged.id,
+                                   staged.visible_at, WallMicros(), 0)));
+    staged.deliv_rows.push_back(deliv_row);
   }
-  return id;
+  return staged;
+}
+
+void QueueManager::AddStagedLocked(const StagingTarget& target,
+                                   std::span<const StagedMessage> staged) {
+  auto it = queues_.find(target.queue);
+  // A re-created queue has new tables, whose schema objects are new too.
+  if (it == queues_.end() ||
+      it->second.tables.msg_schema != target.tables.msg_schema) {
+    return;
+  }
+  QueueState& state = it->second;
+  for (const StagedMessage& message : staged) {
+    state.messages[message.id] = {message.priority, message.expires_at};
+  }
+  // Rows carry a wall visible_at; a delay is the remaining span mapped
+  // onto the steady domain.
+  const WallMicros wall_now = clock_->WallNow();
+  const SteadyMicros steady_now = clock_->SteadyNow();
+  for (size_t g = 0; g < target.groups.size(); ++g) {
+    GroupRuntime& rt = state.runtime[target.groups[g]];
+    for (const StagedMessage& message : staged) {
+      rt.deliveries[message.id] = {message.deliv_rows[g], 0,
+                                   message.visible_at};
+      if (message.visible_at > wall_now) {
+        rt.delayed.emplace(steady_now + (message.visible_at - wall_now),
+                           message.id);
+      } else {
+        rt.ready.emplace(-message.priority, message.id);
+      }
+    }
+  }
+  BumpActivityLocked();
 }
 
 Result<MessageId> QueueManager::EnqueueInTransaction(
     Transaction* txn, const std::string& queue,
     const EnqueueRequest& request) {
-  EDADB_ASSIGN_OR_RETURN(const StagingTarget target, ResolveStaging(queue));
-  return StageMessage(txn, target, request,
-                      EncodeAttributeLists(&request, 1).front(),
-                      clock_->WallNow());
-}
-
-void QueueManager::OnMessageInserted(const std::string& queue, MessageId id,
-                                     const Record& row) {
-  RecursiveMutexLock lock(&mu_);
-  auto it = queues_.find(queue);
-  if (it == queues_.end()) return;
-  it->second.messages[id] = {
-      GetInt64(row, "priority"),
-      WallMicros::FromMicros(GetInt64(row, "expires_at"))};
-}
-
-void QueueManager::OnDeliveryInserted(const std::string& queue,
-                                      RowId deliv_row, const Record& row) {
-  {
-    RecursiveMutexLock lock(&mu_);
-    auto it = queues_.find(queue);
-    if (it == queues_.end()) return;
-    QueueState& state = it->second;
-    const std::string group = GetString(row, "grp");
-    const MessageId msg_id = static_cast<MessageId>(GetInt64(row, "msg_id"));
-    GroupRuntime& rt = state.runtime[group];
-    // Row carries a wall visible_at; the runtime delay is the remaining
-    // span mapped onto the steady domain.
-    const WallMicros visible_at =
-        WallMicros::FromMicros(GetInt64(row, "visible_at"));
-    rt.deliveries[msg_id] = {deliv_row, GetInt64(row, "delivery_count"),
-                             visible_at};
-    const WallMicros wall_now = clock_->WallNow();
-    if (visible_at > wall_now) {
-      rt.delayed.emplace(clock_->SteadyNow() + (visible_at - wall_now),
-                         msg_id);
-    } else {
-      rt.ready.emplace(-PriorityOf(state, msg_id), msg_id);
-    }
-    BumpActivityLocked();
-  }
-  enqueue_cv_.SignalAll();
+  EDADB_ASSIGN_OR_RETURN(StagingTarget target, ResolveStaging(queue));
+  EDADB_ASSIGN_OR_RETURN(
+      StagedMessage staged,
+      StageMessage(txn, target, request,
+                   EncodeAttributeLists(&request, 1).front(),
+                   clock_->WallNow()));
+  const MessageId id = staged.id;
+  txn->OnApplied(
+      [this, target = std::move(target), staged = std::move(staged)] {
+        {
+          MutexLock lock(&mu_);
+          AddStagedLocked(target, {&staged, 1});
+        }
+        enqueue_cv_.SignalAll();
+      });
+  return id;
 }
 
 int64_t QueueManager::PriorityOf(const QueueState& state, MessageId id) {
@@ -797,7 +796,8 @@ void QueueManager::Promote(QueueState* state, GroupRuntime* rt,
 
 Status QueueManager::FinishDeliveries(QueueState* state,
                                       const std::string& group,
-                                      std::vector<MessageId> ids) {
+                                      std::vector<MessageId> ids,
+                                      const DeadLetterCopy* copy) {
   auto rt_it = state->runtime.find(group);
   if (rt_it == state->runtime.end()) {
     return Status::NotFound("no runtime for group '" + group + "'");
@@ -827,6 +827,14 @@ Status QueueManager::FinishDeliveries(QueueState* state,
       EDADB_RETURN_IF_ERROR(txn->DeleteRow(state->tables.msg_table, id));
     }
   }
+  std::optional<StagedMessage> staged_copy;
+  if (copy != nullptr) {
+    std::string attrs;
+    EncodeAttributes(copy->request.attributes, &attrs);
+    EDADB_ASSIGN_OR_RETURN(staged_copy,
+                           StageMessage(txn.get(), copy->target, copy->request,
+                                        attrs, clock_->WallNow()));
+  }
   // Nothing durable yet: a crash here redelivers after the timeout.
   FAILPOINT("mq.finish.before_commit");
   // A commit that applied but failed its sync deleted the rows too, so
@@ -850,36 +858,45 @@ Status QueueManager::FinishDeliveries(QueueState* state,
     }
     if (last[i]) state->messages.erase(id);
   }
+  if (staged_copy.has_value()) {
+    AddStagedLocked(copy->target, {&*staged_copy, 1});
+    enqueue_cv_.SignalAll();
+    EnqueuedCounter()->Add(1);
+    if (shard_enqueues_ != nullptr) shard_enqueues_->Add(1);
+  }
   return committed;
 }
 
 Status QueueManager::DeadLetter(const std::string& queue, QueueState* state,
                                 const std::string& group, MessageId id,
                                 const std::string& reason) {
-  if (!state->options.dead_letter_queue.empty() &&
-      queues_.count(state->options.dead_letter_queue) > 0) {
-    auto message = LoadMessage(queue, state->tables, id);
+  // The copy commits with the finish, so a crash leaves the message in
+  // exactly one of the two queues. ShardRouter places a queue on its
+  // dead-letter queue's shard, so that queue is resolved here, under
+  // the mu_ already held.
+  std::optional<DeadLetterCopy> copy;
+  Result<StagingTarget> dlq =
+      ResolveStagingLocked(state->options.dead_letter_queue);
+  if (dlq.ok()) {
+    Result<Message> message = LoadMessage(queue, state->tables, id);
     if (message.ok()) {
       EnqueueRequest request;
-      request.payload = message->payload;
-      request.attributes = message->attributes;
+      request.payload = std::move(message->payload);
+      request.attributes = std::move(message->attributes);
       request.attributes.emplace_back("dlq_reason", Value::String(reason));
       request.attributes.emplace_back("dlq_source_queue",
                                       Value::String(queue));
       request.attributes.emplace_back(
           "dlq_source_id", Value::Int64(static_cast<int64_t>(id)));
       request.priority = message->priority;
-      request.correlation_id = message->correlation_id;
-      const auto dlq_result =
-          Enqueue(state->options.dead_letter_queue, request);
-      if (!dlq_result.ok()) {
-        EDADB_LOG(Warn) << "dead-letter enqueue failed: "
-                        << dlq_result.status();
-      }
+      request.correlation_id = std::move(message->correlation_id);
+      copy = DeadLetterCopy{*std::move(dlq), std::move(request)};
     }
   }
-  DeadLetterCounter()->Add(1);
-  return FinishDeliveries(state, group, {id});
+  const Status finished =
+      FinishDeliveries(state, group, {id}, copy ? &*copy : nullptr);
+  if (CommitApplied(finished)) DeadLetterCounter()->Add(1);
+  return finished;
 }
 
 Result<std::vector<Message>> QueueManager::DequeueBatch(
@@ -887,7 +904,7 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
     size_t max_messages) {
   metrics::LatencyScope latency(DequeueLatency());
   std::vector<Message> out;
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   QueueState& state = it->second;
@@ -994,7 +1011,7 @@ Result<std::optional<Message>> QueueManager::DequeueWait(
     const std::string& queue, const DequeueRequest& request,
     TimestampMicros timeout_micros) {
   {
-    RecursiveMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     if (shutdown_) return Status::Aborted("QueueManager shut down");
   }
   if (timeout_micros <= 0) {
@@ -1016,7 +1033,7 @@ Result<std::optional<Message>> QueueManager::DequeueWait(
     // delayed message maturing via AdvanceMicros signals no CV).
     const TimestampMicros slice =
         std::min<TimestampMicros>(deadline - now, 5 * kMicrosPerMilli);
-    RecursiveMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     if (shutdown_) return Status::Aborted("QueueManager shut down");
     enqueue_cv_.WaitForMicros(&mu_, slice);
   }
@@ -1025,7 +1042,7 @@ Result<std::optional<Message>> QueueManager::DequeueWait(
 bool QueueManager::WaitForActivity(uint64_t last_seen_seq,
                                    TimestampMicros timeout_micros) {
   const SteadyMicros deadline = clock_->SteadyNow() + timeout_micros;
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   for (;;) {
     if (shutdown_) return true;
     if (activity_seq_.load(std::memory_order_acquire) != last_seen_seq) {
@@ -1042,7 +1059,7 @@ bool QueueManager::WaitForActivity(uint64_t last_seen_seq,
 
 void QueueManager::WakeWaiters() {
   {
-    RecursiveMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     BumpActivityLocked();
   }
   enqueue_cv_.SignalAll();
@@ -1050,7 +1067,7 @@ void QueueManager::WakeWaiters() {
 
 void QueueManager::Shutdown() {
   {
-    RecursiveMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     shutdown_ = true;
     BumpActivityLocked();
   }
@@ -1061,7 +1078,7 @@ Status QueueManager::AckBatch(const std::string& queue,
                               const std::string& group,
                               const std::vector<MessageId>& ids) {
   metrics::LatencyScope latency(AckLatency());
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   if (ids.empty()) return Status::OK();
@@ -1076,7 +1093,7 @@ Status QueueManager::AckBatch(const std::string& queue,
 Status QueueManager::Nack(const std::string& queue, const std::string& group,
                           MessageId id,
                           TimestampMicros redeliver_delay_micros) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   QueueState& state = it->second;
@@ -1117,7 +1134,7 @@ Status QueueManager::Nack(const std::string& queue, const std::string& group,
 Status QueueManager::Release(const std::string& queue,
                              const std::string& group,
                              const std::vector<MessageId>& ids) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   QueueState& state = it->second;
@@ -1158,7 +1175,7 @@ Status QueueManager::Release(const std::string& queue,
 
 Result<size_t> QueueManager::Depth(const std::string& queue,
                                    const std::string& group) const {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   auto rt_it = it->second.runtime.find(group);
@@ -1176,7 +1193,7 @@ Result<size_t> QueueManager::Depth(const std::string& queue,
 }
 
 Result<size_t> QueueManager::PurgeExpired(const std::string& queue) {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   QueueState& state = it->second;
@@ -1212,36 +1229,42 @@ Result<size_t> QueueManager::PurgeExpired(const std::string& queue) {
 Status QueueManager::Browse(
     const std::string& queue, const std::string& group,
     const std::function<bool(const Message&)>& fn) const {
-  RecursiveMutexLock lock(&mu_);
-  auto it = queues_.find(queue);
-  if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-  auto rt_it = it->second.runtime.find(group);
-  if (rt_it == it->second.runtime.end()) return Status::OK();
-  const SteadyMicros steady_now = clock_->SteadyNow();
-  // Snapshot: ready entries plus matured delayed/expired-lock entries,
-  // in (priority, id) order — the order Dequeue would serve them.
-  std::set<std::pair<int64_t, MessageId>> visible = rt_it->second.ready;
-  for (const auto& [visible_at, id] : rt_it->second.delayed) {
-    if (visible_at <= steady_now) {
-      visible.emplace(-PriorityOf(it->second, id), id);
+  std::vector<Message> messages;
+  {
+    MutexLock lock(&mu_);
+    auto it = queues_.find(queue);
+    if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
+    auto rt_it = it->second.runtime.find(group);
+    if (rt_it == it->second.runtime.end()) return Status::OK();
+    const SteadyMicros steady_now = clock_->SteadyNow();
+    // Snapshot: ready entries plus matured delayed/expired-lock entries,
+    // in (priority, id) order — the order Dequeue would serve them.
+    std::set<std::pair<int64_t, MessageId>> visible = rt_it->second.ready;
+    for (const auto& [visible_at, id] : rt_it->second.delayed) {
+      if (visible_at <= steady_now) {
+        visible.emplace(-PriorityOf(it->second, id), id);
+      }
+    }
+    for (const auto& [id, locked_until] : rt_it->second.locked) {
+      if (locked_until <= steady_now) {
+        visible.emplace(-PriorityOf(it->second, id), id);
+      }
+    }
+    for (const auto& [neg_priority, id] : visible) {
+      auto message = LoadMessage(queue, it->second.tables, id);
+      if (message.ok()) messages.push_back(*std::move(message));
     }
   }
-  for (const auto& [id, locked_until] : rt_it->second.locked) {
-    if (locked_until <= steady_now) {
-      visible.emplace(-PriorityOf(it->second, id), id);
-    }
-  }
-  for (const auto& [neg_priority, id] : visible) {
-    auto message = LoadMessage(queue, it->second.tables, id);
-    if (!message.ok()) continue;
-    if (!fn(*message)) break;
+  // `fn` runs after mu_ is released, so it may call the manager.
+  for (const Message& message : messages) {
+    if (!fn(message)) break;
   }
   return Status::OK();
 }
 
 Result<Message> QueueManager::Peek(const std::string& queue,
                                    MessageId id) const {
-  RecursiveMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
   return LoadMessage(queue, it->second.tables, id);

@@ -32,9 +32,11 @@ namespace edadb {
 /// max_deliveries the message moves to the dead-letter queue.
 ///
 /// Thread-safe. Dequeue/Ack/Nack/Release serialize on an internal
-/// mutex; enqueues only take the database's own locks and wake blocked
+/// mutex; enqueues stage and commit without it, then take it briefly to
+/// add what their commit applied to the runtime and wake blocked
 /// DequeueWait() callers. Each call is at most one transaction on the
-/// happy path, whatever its batch size.
+/// happy path, whatever its batch size. The in-memory runtime follows
+/// the manager's own applied commits; queue tables carry no triggers.
 ///
 /// One QueueManager is one delivery shard: one database (WAL stream +
 /// commit pipeline), one lock domain, one wait/wake domain. The sharded
@@ -65,10 +67,10 @@ class QueueManager : public QueueService {
       const std::string& queue) const override;
 
   /// Every enqueue stages here (Enqueue and EnqueueBatch are one-target
-  /// wrappers): all targets in ONE transaction — one WAL barrier, one
-  /// group of AFTER triggers — so every message becomes visible or none
-  /// does. Each staged request is encoded once however many targets
-  /// receive it (contract: QueueService::EnqueueFanout).
+  /// wrappers): all targets in ONE transaction behind one WAL barrier,
+  /// so every message becomes visible or none does. Each staged request
+  /// is encoded once however many targets receive it (contract:
+  /// QueueService::EnqueueFanout).
   EDADB_NODISCARD std::vector<Status> EnqueueFanout(
       std::span<const EnqueueRequest> requests,
       std::span<const FanoutTarget> targets,
@@ -85,7 +87,9 @@ class QueueManager : public QueueService {
                     const std::vector<std::string>& dedup_keys) override;
 
   /// Transactional enqueue: the message becomes visible only when `txn`
-  /// commits (§2.2.b.ii.3 "transactional support").
+  /// commits (§2.2.b.ii.3 "transactional support"). The runtime picks
+  /// it up from a Transaction::OnApplied hook, so the manager must
+  /// outlive `txn`.
   EDADB_NODISCARD Result<MessageId> EnqueueInTransaction(Transaction* txn,
                                          const std::string& queue,
                                          const EnqueueRequest& request);
@@ -123,10 +127,10 @@ class QueueManager : public QueueService {
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) override;
 
-  /// Monotonic count of wake-worthy activity (delivery inserts, nacks,
-  /// shutdown, explicit wakes). Poll-free consumers capture it before
-  /// draining and pass it to WaitForActivity to close the race where a
-  /// message arrives between an empty drain and the wait.
+  /// Monotonic count of wake-worthy activity (applied enqueues, nacks,
+  /// releases, shutdown, explicit wakes). Poll-free consumers capture it
+  /// before draining and pass it to WaitForActivity to close the race
+  /// where a message arrives between an empty drain and the wait.
   uint64_t activity_seq() const {
     return activity_seq_.load(std::memory_order_acquire);
   }
@@ -181,7 +185,9 @@ class QueueManager : public QueueService {
 
   /// Non-destructive browse (AQ's browse mode): visits every message
   /// currently deliverable to `group` in dequeue order without locking
-  /// or consuming anything. Return false from `fn` to stop early.
+  /// or consuming anything. Return false from `fn` to stop early. The
+  /// messages are read under the manager's lock and `fn` runs after it
+  /// is released, so `fn` may call the manager.
   EDADB_NODISCARD Status Browse(const std::string& queue, const std::string& group,
                 const std::function<bool(const Message&)>& fn) const override;
 
@@ -254,8 +260,26 @@ class QueueManager : public QueueService {
   /// What staging messages on a queue needs, copied out under mu_ so the
   /// staging transaction itself runs without it.
   struct StagingTarget {
+    std::string queue;
     QueueTables tables;
     std::vector<std::string> groups;
+  };
+
+  /// What StageMessage put in a transaction: the runtime entries its
+  /// rows become once the commit applied. `deliv_rows[g]` is the
+  /// delivery row of the target's groups[g].
+  struct StagedMessage {
+    MessageId id = 0;
+    int64_t priority = 0;
+    WallMicros expires_at;
+    WallMicros visible_at;
+    std::vector<RowId> deliv_rows;
+  };
+
+  /// A dead-lettered message's copy and the queue it goes to.
+  struct DeadLetterCopy {
+    StagingTarget target;
+    EnqueueRequest request;
   };
 
   /// One queue of a staging transaction, the index of its fan-out
@@ -277,18 +301,8 @@ class QueueManager : public QueueService {
   EDADB_NODISCARD Status EnsureMetaTables();
   EDADB_NODISCARD Status ReloadFromMeta();
 
-  /// Creates the per-queue tables and registers the AFTER INSERT
-  /// triggers that feed the runtime (so transactional enqueues become
-  /// visible exactly at commit).
+  /// Creates the per-queue message and delivery tables.
   EDADB_NODISCARD Status CreateQueueStorage(const std::string& name);
-  EDADB_NODISCARD Status RegisterQueueTriggers(const std::string& name);
-
-  /// Trigger callbacks (take mu_; recursive because dead-lettering
-  /// enqueues while holding it).
-  void OnMessageInserted(const std::string& queue, MessageId id,
-                         const Record& row);
-  void OnDeliveryInserted(const std::string& queue, RowId deliv_row,
-                          const Record& row);
 
   EDADB_NODISCARD Result<StagingTarget> ResolveStaging(
       const std::string& queue);
@@ -297,15 +311,24 @@ class QueueManager : public QueueService {
 
   /// Inserts one message row plus a delivery row per group into `txn`.
   /// `attrs` is the request's attributes, already encoded.
-  EDADB_NODISCARD static Result<MessageId> StageMessage(
+  EDADB_NODISCARD static Result<StagedMessage> StageMessage(
       Transaction* txn, const StagingTarget& target,
       const EnqueueRequest& request, const std::string& attrs,
       WallMicros now);
 
+  /// Adds messages whose staging commit applied to `target`'s runtime
+  /// and bumps the activity sequence; callers then signal enqueue_cv_.
+  /// Skips a queue dropped (or dropped and re-created) since `target`
+  /// was resolved.
+  void AddStagedLocked(const StagingTarget& target,
+                       std::span<const StagedMessage> staged)
+      EDADB_REQUIRES(mu_);
+
   /// The staging loop behind EnqueueFanout: stages every destination's
   /// requests in ONE transaction and commits it. `attrs[i]` is
   /// requests[i]'s encoded attributes. Each destination's `ids`, when
-  /// not null, is set to its staged ids in request order. Returns the
+  /// not null, is set to its staged ids in request order. Once the
+  /// commit applied, the staged messages join the runtime. Returns the
   /// commit's status.
   EDADB_NODISCARD Status StageAndCommit(const EnqueueRequest* requests,
                                         const std::string* attrs,
@@ -345,20 +368,20 @@ class QueueManager : public QueueService {
     activity_seq_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Copies the message to the dead-letter queue (when configured) and
-  /// finishes this group's delivery. Re-enters mu_ through Enqueue
-  /// (EnqueueFanout), which is why mu_ is recursive.
+  /// Finishes this group's delivery, staging the message's copy into
+  /// the dead-letter queue in the same transaction when that queue
+  /// exists and the message row loads; otherwise without a copy.
   EDADB_NODISCARD Status DeadLetter(const std::string& queue, QueueState* state,
                     const std::string& group, MessageId id,
                     const std::string& reason) EDADB_REQUIRES(mu_);
 
   /// Deletes `group`'s delivery rows for `ids` in one transaction, with
-  /// the message row of each message no other group still holds. The
-  /// runtime follows only after the commit.
-  EDADB_NODISCARD Status FinishDeliveries(QueueState* state,
-                                          const std::string& group,
-                                          std::vector<MessageId> ids)
-      EDADB_REQUIRES(mu_);
+  /// the message row of each message no other group still holds, and
+  /// stages `copy` (when not null) in that transaction too. The runtime
+  /// follows only after the commit applied.
+  EDADB_NODISCARD Status FinishDeliveries(
+      QueueState* state, const std::string& group, std::vector<MessageId> ids,
+      const DeadLetterCopy* copy = nullptr) EDADB_REQUIRES(mu_);
 
   Database* const db_;
   Clock* const clock_;
@@ -374,9 +397,9 @@ class QueueManager : public QueueService {
   metrics::Histogram* shard_commit_latency_ = nullptr;
 
   /// Lock order: QueueDispatcher::mu_ before this, this before the
-  /// database's internal locks. Recursive: enqueue -> commit -> AFTER
-  /// trigger -> On*Inserted re-enter while Dead-lettering holds it.
-  mutable RecursiveMutex mu_{"QueueManager::mu_"};
+  /// database's internal locks. Nothing re-enters it: no commit made
+  /// under it calls back into the manager.
+  mutable Mutex mu_{"QueueManager::mu_"};
   CondVar enqueue_cv_;
   std::map<std::string, QueueState> queues_ EDADB_GUARDED_BY(mu_);
   bool shutdown_ EDADB_GUARDED_BY(mu_) = false;

@@ -210,6 +210,9 @@ class QueueService {
       const std::string& queue) = 0;
   EDADB_NODISCARD virtual Result<Message> Peek(const std::string& queue,
                                                MessageId id) const = 0;
+  /// Visits a snapshot of the messages deliverable to `group`, in
+  /// dequeue order, until `fn` returns false. `fn` runs with no service
+  /// lock held, so it may call the service.
   EDADB_NODISCARD virtual Status Browse(
       const std::string& queue, const std::string& group,
       const std::function<bool(const Message&)>& fn) const = 0;

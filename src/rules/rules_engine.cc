@@ -55,17 +55,8 @@ SchemaPtr RulesSchema() {
 
 }  // namespace
 
-RulesEngine::RulesEngine(Database* db, MatcherKind kind) : db_(db) {
-  if (kind == MatcherKind::kNaive) {
-    matcher_ = std::make_unique<NaiveMatcher>();
-  } else {
-    matcher_ = std::make_unique<IndexedMatcher>();
-  }
-}
-
-Result<std::unique_ptr<RulesEngine>> RulesEngine::Attach(Database* db,
-                                                         MatcherKind kind) {
-  auto engine = std::unique_ptr<RulesEngine>(new RulesEngine(db, kind));
+Result<std::unique_ptr<RulesEngine>> RulesEngine::Attach(Database* db) {
+  auto engine = std::unique_ptr<RulesEngine>(new RulesEngine(db));
   if (!db->GetTable(kRulesTable).ok()) {
     EDADB_RETURN_IF_ERROR(db->CreateTable(kRulesTable, RulesSchema()).status());
     EDADB_RETURN_IF_ERROR(db->CreateIndex(kRulesTable, "rule_id", true));
@@ -77,9 +68,7 @@ Result<std::unique_ptr<RulesEngine>> RulesEngine::Attach(Database* db,
   engine->metrics_collector_ = metrics::Registry::Default()->RegisterCollector(
       [raw](std::vector<metrics::MetricSnapshot>* out) {
         MutexLock lock(&raw->mu_);
-        auto* indexed = dynamic_cast<IndexedMatcher*>(raw->matcher_.get());
-        if (indexed == nullptr) return;  // Naive matcher: nothing to report.
-        const IndexedMatcher::Stats stats = indexed->GetStats();
+        const IndexedMatcher::Stats stats = raw->matcher_.GetStats();
         EmitGauge(out, "rules.matcher.eq_entries",
                   static_cast<int64_t>(stats.eq_entries));
         EmitGauge(out, "rules.matcher.range_entries",
@@ -96,6 +85,9 @@ Result<Rule> RulesEngine::CompileRule(const std::string& id,
                                       std::string_view condition_source,
                                       std::string action, int64_t priority,
                                       bool enabled) const {
+  // The matcher rejects an empty id; rejecting it here, before a rule
+  // change writes its row, keeps such a row off disk.
+  if (id.empty()) return Status::InvalidArgument("rule needs an id");
   EDADB_ASSIGN_OR_RETURN(Predicate condition,
                          Predicate::Compile(condition_source));
   Rule rule;
@@ -136,7 +128,7 @@ Status RulesEngine::LoadPersistedRules() {
   EDADB_RETURN_IF_ERROR(status);
   MutexLock lock(&mu_);
   for (Rule& rule : compiled) {
-    EDADB_RETURN_IF_ERROR(matcher_->AddRule(std::move(rule)));
+    EDADB_RETURN_IF_ERROR(matcher_.AddRule(std::move(rule)));
   }
   return Status::OK();
 }
@@ -154,52 +146,51 @@ Status RulesEngine::AddRule(const std::string& id,
                     .SetInt64("priority", priority)
                     .SetBool("enabled", true)
                     .Build();
-  {
-    MutexLock lock(&mu_);
-    EDADB_RETURN_IF_ERROR(matcher_->AddRule(std::move(rule)));
-  }
-  const auto inserted = db_->Insert(kRulesTable, std::move(row));
-  if (!inserted.ok()) {
-    MutexLock lock(&mu_);
-    EDADB_IGNORE_STATUS(matcher_->RemoveRule(id),
-                        "best-effort rollback of the rule added above");
-    return inserted.status();
-  }
-  return Status::OK();
+  MutexLock change(&change_mu_);
+  // A duplicate id fails here, on the unique index over rule_id.
+  const Status inserted = db_->Insert(kRulesTable, std::move(row)).status();
+  if (!CommitApplied(inserted)) return inserted;
+  MutexLock lock(&mu_);
+  EDADB_RETURN_IF_ERROR(matcher_.AddRule(std::move(rule)));
+  return inserted;
 }
 
 Status RulesEngine::RemoveRule(const std::string& id) {
-  {
-    MutexLock lock(&mu_);
-    EDADB_RETURN_IF_ERROR(matcher_->RemoveRule(id));
-  }
+  MutexLock change(&change_mu_);
+  if (!FindRule(id).has_value()) return Status::NotFound("rule '" + id + "'");
   const Predicate match =
       Predicate::ColumnsEqual({{"rule_id", Value::String(id)}});
-  return db_->DeleteWhere(kRulesTable, match).status();
+  const Status deleted = db_->DeleteWhere(kRulesTable, match).status();
+  if (!CommitApplied(deleted)) return deleted;
+  MutexLock lock(&mu_);
+  EDADB_RETURN_IF_ERROR(matcher_.RemoveRule(id));
+  return deleted;
 }
 
 Status RulesEngine::SetRuleEnabled(const std::string& id, bool enabled) {
-  MutexLock lock(&mu_);
-  const Rule* existing = matcher_->GetRule(id);
-  if (existing == nullptr) return Status::NotFound("rule '" + id + "'");
-  if (existing->enabled == enabled) return Status::OK();
-  Rule copy = *existing;
-  copy.enabled = enabled;
-  EDADB_RETURN_IF_ERROR(matcher_->RemoveRule(id));
-  EDADB_RETURN_IF_ERROR(matcher_->AddRule(std::move(copy)));
+  MutexLock change(&change_mu_);
+  std::optional<Rule> rule = FindRule(id);
+  if (!rule.has_value()) return Status::NotFound("rule '" + id + "'");
+  if (rule->enabled == enabled) return Status::OK();
+  rule->enabled = enabled;
   const Predicate match =
       Predicate::ColumnsEqual({{"rule_id", Value::String(id)}});
-  return db_
-      ->UpdateWhere(kRulesTable, match,
-                    [enabled](Record* row) {
-                      return row->Set("enabled", Value::Bool(enabled));
-                    })
-      .status();
+  const Status updated =
+      db_->UpdateWhere(kRulesTable, match,
+                       [enabled](Record* row) {
+                         return row->Set("enabled", Value::Bool(enabled));
+                       })
+          .status();
+  if (!CommitApplied(updated)) return updated;
+  MutexLock lock(&mu_);
+  EDADB_RETURN_IF_ERROR(matcher_.RemoveRule(id));
+  EDADB_RETURN_IF_ERROR(matcher_.AddRule(*std::move(rule)));
+  return updated;
 }
 
 size_t RulesEngine::num_rules() const {
   MutexLock lock(&mu_);
-  return matcher_->size();
+  return matcher_.size();
 }
 
 std::vector<std::string> RulesEngine::ListRules() const {
@@ -218,7 +209,7 @@ std::vector<std::string> RulesEngine::ListRules() const {
 
 std::optional<Rule> RulesEngine::FindRule(const std::string& id) const {
   MutexLock lock(&mu_);
-  const Rule* rule = matcher_->GetRule(id);
+  const Rule* rule = matcher_.GetRule(id);
   if (rule == nullptr) return std::nullopt;
   return *rule;
 }
@@ -259,7 +250,7 @@ Result<std::vector<std::vector<Rule>>> RulesEngine::EvaluateBatch(
     metrics::LatencyScope latency(MatchLatency());
     MutexLock lock(&mu_);
     std::vector<std::vector<const Rule*>> matched;
-    matcher_->MatchBatch(events, &matched);
+    matcher_.MatchBatch(events, &matched);
     for (size_t i = 0; i < matched.size(); ++i) {
       std::vector<const Rule*>& event_matches = matched[i];
       std::sort(event_matches.begin(), event_matches.end(),

@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "db/database.h"
 #include "rules/indexed_matcher.h"
-#include "rules/matcher.h"
 
 namespace edadb {
 
@@ -30,15 +29,17 @@ namespace edadb {
 /// Thread-safe.
 class RulesEngine {
  public:
-  enum class MatcherKind { kNaive, kIndexed };
-
   /// Loads persisted rules from `db` (creating the `__rules` table on
   /// first use). `db` must outlive the engine.
   EDADB_NODISCARD static Result<std::unique_ptr<RulesEngine>> Attach(
-      Database* db, MatcherKind kind = MatcherKind::kIndexed);
+      Database* db);
 
   /// Adds a rule (persisted + compiled). `condition_source` is an
   /// expression over event attributes; `action` is the handler tag.
+  ///
+  /// Rule changes write the `__rules` row first and change the matcher
+  /// only once that commit applied (CommitApplied), so a change that
+  /// failed leaves memory and disk as they were.
   EDADB_NODISCARD Status AddRule(const std::string& id, std::string_view condition_source,
                  std::string action, int64_t priority = 0);
 
@@ -78,7 +79,7 @@ class RulesEngine {
       const std::vector<const RowAccessor*>& events);
 
  private:
-  RulesEngine(Database* db, MatcherKind kind);
+  explicit RulesEngine(Database* db) : db_(db) {}
 
   EDADB_NODISCARD Status LoadPersistedRules();
   EDADB_NODISCARD Result<Rule> CompileRule(const std::string& id,
@@ -87,10 +88,12 @@ class RulesEngine {
                            bool enabled) const;
 
   Database* const db_;
+  /// Serializes rule changes. Held across each change's `__rules` commit
+  /// and matcher update, so concurrent changes reach the table and the
+  /// matcher in one order. Evaluate never takes it.
+  Mutex change_mu_{"RulesEngine::change_mu_"};
   mutable Mutex mu_{"RulesEngine::mu_"};
-  /// The pointer is set once in the constructor; the matcher it points
-  /// to is guarded.
-  std::unique_ptr<RuleMatcher> matcher_ EDADB_PT_GUARDED_BY(mu_);
+  IndexedMatcher matcher_ EDADB_GUARDED_BY(mu_);
   std::map<std::string, ActionHandler> handlers_ EDADB_GUARDED_BY(mu_);
   ActionHandler default_handler_ EDADB_GUARDED_BY(mu_);
 

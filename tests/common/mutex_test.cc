@@ -36,12 +36,6 @@ TEST_F(LockGraphTest, ConsistentOrderIsAccepted) {
   }
 }
 
-TEST_F(LockGraphTest, RecursiveMutexReentryIsAccepted) {
-  RecursiveMutex m("order_test::recursive");
-  RecursiveMutexLock outer(&m);
-  RecursiveMutexLock inner(&m);
-}
-
 using LockGraphDeathTest = LockGraphTest;
 
 TEST_F(LockGraphDeathTest, InversionAborts) {

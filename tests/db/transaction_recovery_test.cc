@@ -38,9 +38,12 @@ TEST(TransactionTest, CommitAppliesAllOps) {
   const RowId a = *txn->Insert("accounts", Account("a", 100));
   const RowId b = *txn->Insert("accounts", Account("b", 200));
   EXPECT_EQ(txn->num_pending(), 2u);
+  size_t seen_at_hook = 0;
+  txn->OnApplied([&] { seen_at_hook = *db->CountRows("accounts"); });
   // Not visible before commit.
   EXPECT_EQ(*db->CountRows("accounts"), 0u);
   ASSERT_OK(txn->Commit());
+  EXPECT_EQ(seen_at_hook, 2u);
   EXPECT_EQ(*db->CountRows("accounts"), 2u);
   EXPECT_EQ(db->GetRow("accounts", a)->Get("name")->string_value(), "a");
   EXPECT_EQ(db->GetRow("accounts", b)->Get("name")->string_value(), "b");
@@ -52,9 +55,12 @@ TEST(TransactionTest, RollbackDiscards) {
   ASSERT_TRUE(db->CreateTable("accounts", AccountsSchema()).ok());
   auto txn = db->BeginTransaction();
   ASSERT_OK(txn->Insert("accounts", Account("ghost", 1)).status());
+  bool hooked = false;
+  txn->OnApplied([&] { hooked = true; });
   ASSERT_OK(txn->Rollback());
   EXPECT_EQ(*db->CountRows("accounts"), 0u);
   EXPECT_TRUE(txn->Commit().IsFailedPrecondition());
+  EXPECT_FALSE(hooked);
 }
 
 TEST(TransactionTest, DestructorRollsBack) {
@@ -158,6 +164,10 @@ TEST_P(FailedSyncTest, CommitIsAppliedOnlyOnceItsRecordLanded) {
     failpoint::Arm("wal.sync", fault);
     auto txn = db->BeginTransaction();
     ASSERT_OK(txn->Insert("accounts", Account("a", 1)).status());
+    // OnApplied hooks run exactly when the commit applied, after the
+    // AFTER triggers.
+    int fired_at_hook = -1;
+    txn->OnApplied([&] { fired_at_hook = fired; });
     const Status committed = txn->Commit();
     failpoint::DisarmAll();
 
@@ -166,6 +176,7 @@ TEST_P(FailedSyncTest, CommitIsAppliedOnlyOnceItsRecordLanded) {
     EXPECT_EQ(CommitApplied(committed), param.applied);
     EXPECT_EQ(*db->CountRows("accounts"), rows);
     EXPECT_EQ(fired, static_cast<int>(rows));
+    EXPECT_EQ(fired_at_hook, param.applied ? 1 : -1);
   }
   auto db = *Database::Open(options);
   EXPECT_EQ(*db->CountRows("accounts"), rows);

@@ -327,4 +327,83 @@ TEST_F(QueueCrashTest, NackCrashBeforePersistKeepsMessageDeliverable) {
   EXPECT_EQ(redelivered->delivery_count, 2);
 }
 
+// Dead-lettering stages the dead-letter copy in the transaction that
+// finishes the delivery. A crash at any point of it leaves the message
+// in exactly one of the two queues: after the restart, one more walk of
+// the source queue (which dead-letters it if it is still there) leaves
+// the source empty and exactly one copy in the dead-letter queue.
+TEST_F(QueueCrashTest, DeadLetterMovesExactlyOnceAtEveryCrashSite) {
+  const char* const kSites[] = {
+      "mq.finish.before_commit", "mq.finish.after_commit",
+      "db.commit.before_wal",    "db.commit.after_ops",
+      "db.commit.before_sync",   "db.commit.after_sync"};
+  int round = 0;
+  for (const char* site : kSites) {
+    for (const uint64_t skip : {0, 1}) {
+      SCOPED_TRACE(std::string(site) + " skip " + std::to_string(skip));
+      const std::string source = "src" + std::to_string(round);
+      const std::string dlq = "dlq" + std::to_string(round);
+      ++round;
+      edadb::QueueCreateOptions options;
+      options.max_deliveries = 1;
+      options.dead_letter_queue = dlq;
+      ASSERT_OK(queues_->CreateQueue(dlq));
+      ASSERT_OK(queues_->CreateQueue(source, options));
+      ASSERT_OK(queues_->Enqueue(source, Req("poison")).status());
+      auto msg = *queues_->Dequeue(source, dq_);
+      ASSERT_TRUE(msg.has_value());
+
+      // The nack finds the one delivery spent and dead-letters.
+      ArmCrash(site, skip);
+      try {
+        EDADB_IGNORE_STATUS(queues_->Nack(source, "", msg->id),
+                            "the armed crash may fire before Nack returns");
+      } catch (const SimulatedCrash&) {
+      }
+      fp::DisarmAll();
+      Reopen();
+
+      clock_.AdvanceMicros(31 * kMicrosPerSecond);
+      auto walked = queues_->Dequeue(source, dq_);
+      ASSERT_OK(walked.status());
+      EXPECT_FALSE(walked->has_value());
+      EXPECT_EQ(0u, *db_->CountRows("__q_" + source + "_msgs"));
+      EXPECT_EQ(0u, *db_->CountRows("__q_" + source + "_dlv"));
+      DequeueRequest remove;
+      remove.remove = true;
+      auto copy = queues_->Dequeue(dlq, remove);
+      ASSERT_OK(copy.status());
+      ASSERT_TRUE(copy->has_value());
+      EXPECT_EQ((*copy)->payload, "poison");
+      EXPECT_FALSE(queues_->Dequeue(dlq, remove)->has_value())
+          << "dead-lettered twice";
+    }
+  }
+}
+
+// A dead-letter transaction that fails without applying leaves the
+// message in its queue, uncopied; the next walk moves it once.
+TEST_F(QueueCrashTest, FailedDeadLetterCommitKeepsMessageInSource) {
+  edadb::QueueCreateOptions options;
+  options.max_deliveries = 1;
+  options.dead_letter_queue = "dlq";
+  ASSERT_OK(queues_->CreateQueue("dlq"));
+  ASSERT_OK(queues_->CreateQueue("src", options));
+  ASSERT_OK(queues_->Enqueue("src", Req("poison")).status());
+  auto msg = *queues_->Dequeue("src", dq_);
+  ASSERT_TRUE(msg.has_value());
+
+  ArmError("db.commit.before_wal");
+  EXPECT_FALSE(queues_->Nack("src", "", msg->id).ok());
+  fp::DisarmAll();
+  EXPECT_EQ(1u, *db_->CountRows("__q_src_msgs"));
+  EXPECT_EQ(0u, *db_->CountRows("__q_dlq_msgs"));
+
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("src", dq_)->has_value());
+  EXPECT_EQ(0u, *db_->CountRows("__q_src_msgs"));
+  EXPECT_EQ(1u, *db_->CountRows("__q_dlq_msgs"));
+  EXPECT_EQ(1u, *queues_->Depth("dlq", ""));
+}
+
 }  // namespace

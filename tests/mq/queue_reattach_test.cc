@@ -161,5 +161,29 @@ TEST_F(QueueReattachTest, CheckpointThenReattach) {
   EXPECT_EQ((*queues_->Dequeue("q", dq))->payload, "after ckpt");
 }
 
+// A second manager attaches to a database that stayed open: the first
+// left nothing registered in it, and the new one rebuilds the runtime
+// from the tables and follows its own enqueues.
+TEST_F(QueueReattachTest, ReattachOnLiveDatabase) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->Enqueue("q", Req("old")).status());
+  queues_.reset();
+  auto reattached = QueueManager::Attach(db_.get());
+  ASSERT_OK(reattached.status());
+  queues_ = *std::move(reattached);
+  ASSERT_OK(queues_->Enqueue("q", Req("new")).status());
+  DequeueRequest dq;
+  dq.remove = true;
+  auto first = queues_->Dequeue("q", dq);
+  ASSERT_OK(first.status());
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ((*first)->payload, "old");
+  auto second = queues_->Dequeue("q", dq);
+  ASSERT_OK(second.status());
+  ASSERT_TRUE(second->has_value());
+  EXPECT_EQ((*second)->payload, "new");
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
+}
+
 }  // namespace
 }  // namespace edadb

@@ -47,14 +47,11 @@ TEST_F(QueueTest, CreateListDrop) {
   EXPECT_TRUE(queues_->CreateQueue("").IsInvalidArgument());
 }
 
-// Regression: DropQueue used to discard the trigger-drop Status with a
-// (void) cast. It must tolerate a trigger that is already gone
-// (NotFound — e.g. half-completed earlier drop) but still succeed in
-// removing the queue, leaving the name free for re-creation.
-TEST_F(QueueTest, DropQueueToleratesAlreadyMissingTrigger) {
+// A dropped queue leaves its name free: the re-created queue delivers
+// what it is given, and nothing the dropped one held.
+TEST_F(QueueTest, DroppedQueueNameCanBeCreatedAgainAndDelivers) {
   ASSERT_OK(queues_->CreateQueue("orders"));
-  // Remove one of the queue's maintenance triggers out from under it.
-  ASSERT_OK(db_->DropTrigger("__qt_orders_msgs"));
+  ASSERT_OK(queues_->Enqueue("orders", Req("dropped")).status());
   ASSERT_OK(queues_->DropQueue("orders"));
   EXPECT_FALSE(queues_->HasQueue("orders"));
   ASSERT_OK(queues_->CreateQueue("orders"));
@@ -63,6 +60,19 @@ TEST_F(QueueTest, DropQueueToleratesAlreadyMissingTrigger) {
   auto msg = *queues_->Dequeue("orders", dq);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload, "still works");
+  EXPECT_FALSE(queues_->Dequeue("orders", dq)->has_value());
+}
+
+// The runtime follows the manager's own commits: queue tables carry no
+// triggers, so their rows fire nothing at commit.
+TEST_F(QueueTest, QueuesRegisterNoTriggers) {
+  QueueCreateOptions options;
+  options.dead_letter_queue = "dlq";
+  ASSERT_OK(queues_->CreateQueue("dlq"));
+  ASSERT_OK(queues_->CreateQueue("orders", options));
+  ASSERT_OK(queues_->AddConsumerGroup("orders", "billing"));
+  ASSERT_OK(queues_->Enqueue("orders", Req("x")).status());
+  EXPECT_TRUE(db_->ListTriggers().empty());
 }
 
 TEST_F(QueueTest, FifoWithinSamePriority) {
@@ -99,6 +109,26 @@ TEST_F(QueueTest, AckRemovesMessage) {
   // Message row is gone.
   EXPECT_TRUE(queues_->Peek("q", id).status().IsNotFound());
   EXPECT_TRUE(queues_->Ack("q", "", id).IsNotFound());
+}
+
+// Browse's callback runs outside the manager's lock: it may read,
+// enqueue and consume, and sees the snapshot taken before it ran.
+TEST_F(QueueTest, BrowseCallbackMayCallTheManager) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->Enqueue("q", Req("a", 1)).status());
+  ASSERT_OK(queues_->Enqueue("q", Req("b")).status());
+  std::vector<std::string> seen;
+  ASSERT_OK(queues_->Browse("q", "", [&](const Message& message) {
+    seen.push_back(message.payload);
+    EXPECT_EQ(queues_->Peek("q", message.id)->payload, message.payload);
+    EXPECT_OK(queues_->Enqueue("q", Req("added")).status());
+    DequeueRequest dq;
+    dq.remove = true;
+    EXPECT_TRUE(queues_->Dequeue("q", dq)->has_value());
+    return true;
+  }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(*queues_->Depth("q", ""), 2u);
 }
 
 TEST_F(QueueTest, VisibilityTimeoutRedelivers) {

@@ -2,8 +2,10 @@
 
 #include <map>
 
+#include "common/failpoint.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "testing/crash_harness.h"
 
 namespace edadb {
 namespace {
@@ -18,7 +20,7 @@ class MapRow : public RowAccessor {
   }
 };
 
-class RulesEngineTest : public testing::Test {
+class RulesEngineTest : public ::testing::Test {
  protected:
   void SetUp() override { Reopen(); }
 
@@ -55,6 +57,30 @@ TEST_F(RulesEngineTest, InvalidConditionRejectedWithoutSideEffects) {
   EXPECT_FALSE(engine_->AddRule("bad", "syntax >>>", "x").ok());
   EXPECT_EQ(engine_->num_rules(), 0u);
   EXPECT_TRUE(engine_->ListRules().empty());
+}
+
+// A rule the matcher would refuse never reaches __rules, so the next
+// Attach still loads every row.
+TEST_F(RulesEngineTest, EmptyIdRejectedBeforeTheRowIsWritten) {
+  EXPECT_TRUE(engine_->AddRule("", "x > 1", "a").IsInvalidArgument());
+  EXPECT_EQ(engine_->num_rules(), 0u);
+  Reopen();
+  EXPECT_EQ(engine_->num_rules(), 0u);
+  EXPECT_TRUE(engine_->RemoveRule("").IsNotFound());
+}
+
+// The unique index on rule_id refuses a duplicate before anything
+// applies: the first rule stays, in memory and after a reopen.
+TEST_F(RulesEngineTest, DuplicateIdKeepsTheFirstRule) {
+  ASSERT_OK(engine_->AddRule("hot", "temp > 30", "alert"));
+  EXPECT_TRUE(engine_->AddRule("hot", "temp > 40", "x").IsAlreadyExists());
+  MapRow event;
+  event.values["temp"] = Value::Double(35.0);
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"hot"}));
+  Reopen();
+  EXPECT_EQ(engine_->num_rules(), 1u);
+  EXPECT_EQ(engine_->FindRule("hot")->action, "alert");
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"hot"}));
 }
 
 TEST_F(RulesEngineTest, HandlersDispatchByActionPriorityOrder) {
@@ -147,16 +173,39 @@ TEST_F(RulesEngineTest, SetRuleEnabledWithQuoteInIdTouchesOnlyThatRule) {
   EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"a"}));
 }
 
-TEST_F(RulesEngineTest, NaiveMatcherVariantWorks) {
-  auto naive_engine =
-      *RulesEngine::Attach(db_.get(), RulesEngine::MatcherKind::kNaive);
-  // The __rules table already exists (from SetUp's engine); both engines
-  // share persisted rules.
-  ASSERT_OK(naive_engine->AddRule("r", "y < 0", "a"));
+#if EDADB_FAILPOINTS_ENABLED
+// A rule change writes the __rules row first and touches the matcher
+// only once that commit applied: a change whose commit failed leaves
+// the rule as it was, in memory and after a reopen.
+TEST_F(RulesEngineTest, FailedRemoveLeavesRuleInMemoryAndOnDisk) {
+  testing::FailpointGuard guard;
+  ASSERT_OK(engine_->AddRule("hot", "temp > 30", "alert"));
   MapRow event;
-  event.values["y"] = Value::Int64(-1);
-  EXPECT_EQ(naive_engine->Evaluate(event)->size(), 1u);
+  event.values["temp"] = Value::Double(35.0);
+
+  testing::ArmError("db.commit.before_wal");
+  EXPECT_FALSE(engine_->RemoveRule("hot").ok());
+  failpoint::DisarmAll();
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"hot"}));
+  EXPECT_EQ(engine_->num_rules(), 1u);
+  Reopen();
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"hot"}));
 }
+
+TEST_F(RulesEngineTest, FailedDisableLeavesRuleEnabled) {
+  testing::FailpointGuard guard;
+  ASSERT_OK(engine_->AddRule("hot", "temp > 30", "alert"));
+  MapRow event;
+  event.values["temp"] = Value::Double(35.0);
+
+  testing::ArmError("db.commit.before_wal");
+  EXPECT_FALSE(engine_->SetRuleEnabled("hot", false).ok());
+  failpoint::DisarmAll();
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"hot"}));
+  Reopen();
+  EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"hot"}));
+}
+#endif  // EDADB_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace edadb
