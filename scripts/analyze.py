@@ -856,6 +856,20 @@ def builtin_parse_file(model, path, rel, phase):
             c.methods.add(name)
         return f
 
+    def record_calls(text, line, f, held):
+        """Call sites in a statement or a block header, with the locks
+        held there."""
+        for m in CALL_RE.finditer(text):
+            recv, op, name = m.group(1), m.group(2), m.group(3)
+            if name in CPP_KEYWORDS or name.startswith(CALL_SKIP_PREFIXES):
+                continue
+            if name in ("Lock", "Unlock", "MutexLock", "Wait",
+                        "WaitForMicros", "Signal", "SignalAll"):
+                continue
+            if recv in ("std", "chrono", "this_thread"):
+                continue
+            f.calls.append(CallSite(recv, op, name, line, held))
+
     def process_stmt(stmt, line, raw_line):
         f = enclosing_func()
         if f is None:
@@ -916,17 +930,7 @@ def builtin_parse_file(model, path, rel, phase):
             f.blocks.append(BlockOp(BLOCKING_PRIMS[m.group(1)], line, held,
                                     in_loop()))
 
-        for m in CALL_RE.finditer(stmt):
-            recv, op, name = m.group(1), m.group(2), m.group(3)
-            if name in CPP_KEYWORDS or name.startswith(CALL_SKIP_PREFIXES):
-                continue
-            if name in ("Lock", "Unlock", "MutexLock", "Wait",
-                        "WaitForMicros", "Signal", "SignalAll"):
-                continue
-            if recv in ("std", "chrono", "this_thread"):
-                continue
-            f.calls.append(CallSite(recv, op, name, line, held))
-
+        record_calls(stmt, line, f, held)
         atomic_stmt(stmt, line, f)
         guarded_stmt_facts(stmt, line, f)
         fe._clock_stmt(stmt, line, state["taint"], f)
@@ -985,11 +989,15 @@ def builtin_parse_file(model, path, rel, phase):
                     # Lambdas / plain blocks just nest.
                     sc = Scope("block", loop=loop)
                     sc.lambda_ctx = detect_lambda_ctx(header)
-                    # Control-flow headers never reach process_stmt (no
-                    # terminating ';'), but their conditions carry
-                    # atomic ops (`while (running_.load(...))`) and
-                    # guarded-field uses the escape check must see.
+                    # Block headers never reach process_stmt (no
+                    # terminating ';'), but control-flow conditions and
+                    # the calls a lambda body is an argument of carry
+                    # calls made under the locks held here, atomic ops
+                    # (`while (running_.load(...))`) and guarded-field
+                    # uses the escape check must see.
                     if phase != "decls" and header:
+                        record_calls(header, start, enclosing_func(),
+                                     held_locks())
                         atomic_stmt(header, start, enclosing_func())
                         guarded_stmt_facts(header, start, enclosing_func())
                 elif current_class() is not None and header:

@@ -5,6 +5,8 @@
 //   mutex is held (needs the may-block closure).
 // - CondVar wait while a DIFFERENT mutex is also held (classic
 //   convoy/deadlock shape; waiting on one's own mutex is fine).
+// - The same, where the call's arguments hold a lambda body or the call
+//   is an `if` condition: block headers carry calls too.
 // - std::this_thread::sleep_for under a lock.
 // - cv-wait-no-loop: a CondVar wait with no enclosing predicate loop.
 // - Negative controls: ::write with no lock held, and a correctly
@@ -45,6 +47,44 @@ class CallsUnderLock {
  private:
   Mutex mu_{"CallsUnderLock::mu_"};
   Sink* sink_ EDADB_GUARDED_BY(mu_);
+};
+
+class Store {
+ public:
+  int UpdateWhere(int key, int (*mutate)(int)) {
+    ::write(1, "x", 1);
+    return mutate(key);
+  }
+  bool Flush() { return ::write(1, "x", 1) == 1; }
+};
+
+class LambdaArgUnderLock {
+ public:
+  void Bump() {
+    MutexLock l(&mu_);
+    store_->UpdateWhere(1, [](int row) {  // expect-analyze: wait-under-lock
+      return row + 1;
+    });
+  }
+
+ private:
+  Mutex mu_{"LambdaArgUnderLock::mu_"};
+  Store* store_ EDADB_GUARDED_BY(mu_);
+};
+
+class ConditionUnderLock {
+ public:
+  void Sync() {
+    MutexLock l(&mu_);
+    if (store_->Flush()) {  // expect-analyze: wait-under-lock
+      ++flushes_;
+    }
+  }
+
+ private:
+  Mutex mu_{"ConditionUnderLock::mu_"};
+  Store* store_ EDADB_GUARDED_BY(mu_);
+  int flushes_ EDADB_GUARDED_BY(mu_) = 0;
 };
 
 class TwoLockWait {

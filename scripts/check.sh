@@ -7,17 +7,19 @@
 #   2. configure + build with -Werror (plus -Wthread-safety under Clang,
 #      where the common/mutex.h annotations are machine-checked) and run
 #      the tier-1 ctest suite (-L tier1: fast, deterministic);
-#   3. EDADB_CHECK_STATUS build (unchecked-Status detector armed) and
-#      the status-discipline suite, including the abort death tests,
-#      plus the db, mq, pubsub and core suites under the detector;
+#   3. Debug EDADB_CHECK_STATUS build (unchecked-Status detector armed,
+#      and no NDEBUG, so the common/mutex.h lock-rank registry runs too)
+#      and the status-discipline suite, including the abort death
+#      tests, plus the db, mq, pubsub, core, rules and cq suites under
+#      both detectors;
 #   4. rebuild with EDADB_SANITIZE=address;undefined and re-run the
 #      tier-1 suite so memory errors and UB fail the gate too;
 #   5. crash-recovery torture suite (-L torture) on the ASan build,
 #      bounded to CHECK_TORTURE_SCHEDULES randomized schedules so the
 #      gate stays fast; export EDADB_TEST_SEED to replay a failure;
 #   6. (optional, CHECK_TSAN=1) rebuild with EDADB_SANITIZE=thread and
-#      run the mq, core and pub/sub suites and the *_concurrency_test
-#      suites under TSan (the CI tsan job runs the same list);
+#      run the mq, core, pub/sub, rules, cq and db suites and the
+#      *_concurrency_test suites under TSan;
 #   7. clang-tidy over src/ and tests/. Missing clang-tidy FAILS the
 #      gate (no silent degradation); set CHECK_SKIP_TIDY=1 to skip
 #      explicitly on machines without LLVM.
@@ -34,6 +36,22 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 PYTHON="${PYTHON:-python3}"
+
+# Suite lists of stages 3 and 6; the CI check-status and tsan jobs run
+# the same lists. integration_test is not under TSan: its
+# ConcurrencyTest.ParallelWritersAndReadersAndCheckpoints can run past
+# ctest's 300 s limit under sanitizers (writers starve behind readers on
+# the database lock).
+STATUS_SUITES=(common_test db_test mq_test pubsub_test core_test rules_test
+  cq_test)
+TSAN_SUITES=(mq_test core_test pubsub_test rules_test cq_test db_test
+  broker_concurrency_test event_ring_concurrency_test
+  metrics_concurrency_test)
+
+suite_regex() {  # suite_regex <name>...: ctest -R for exactly these
+  local IFS='|'
+  echo "^($*)\$"
+}
 
 # ----------------------------------------------------------------------
 # Stage bookkeeping: every stage records PASS/FAIL/SKIP; the summary
@@ -80,14 +98,14 @@ run_suite() {
 
 check_status_suite() {
   # Detector builds change Status's layout, so this is its own tree;
-  # only the library and these suites are built to keep the stage
-  # cheap: common_test's death tests, plus the db, mq, pubsub and core
-  # suites run with the detector armed.
-  cmake -B build-checkstatus -S . -DEDADB_CHECK_STATUS=ON >/dev/null
+  # only the library and STATUS_SUITES are built to keep the stage
+  # cheap. Debug leaves NDEBUG off, so a lock-order inversion aborts.
+  cmake -B build-checkstatus -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DEDADB_CHECK_STATUS=ON >/dev/null
   cmake --build build-checkstatus -j "$JOBS" \
-    --target common_test db_test mq_test pubsub_test core_test >/dev/null
+    --target "${STATUS_SUITES[@]}" >/dev/null
   (cd build-checkstatus && ctest --output-on-failure \
-    -R '^(common_test|db_test|mq_test|pubsub_test|core_test)$')
+    -R "$(suite_regex "${STATUS_SUITES[@]}")")
 }
 
 tidy_gate() {
@@ -143,13 +161,10 @@ stage "5 crash-recovery torture (ASan, bounded)" \
 if [ "${CHECK_TSAN:-0}" = "1" ]; then
   tsan_suite() {
     cmake -B build-tsan -S . -DEDADB_SANITIZE=thread >/dev/null
-    cmake --build build-tsan -j "$JOBS" >/dev/null
-    # integration_test is left out: its
-    # ConcurrencyTest.ParallelWritersAndReadersAndCheckpoints can run
-    # past ctest's 300 s limit under sanitizers (writers starve behind
-    # readers on the database lock).
+    cmake --build build-tsan -j "$JOBS" --target "${TSAN_SUITES[@]}" \
+      >/dev/null
     (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-        -R '^(mq_test|core_test|pubsub_test|.*_concurrency_test)$')
+        -R "$(suite_regex "${TSAN_SUITES[@]}")")
   }
   stage "6 TSan build + concurrency stress tests" tsan_suite
 else

@@ -55,26 +55,16 @@ Record StreamTableJoin::Merge(const Record& event,
 
 Status StreamTableJoin::Push(const Record& event) {
   EDADB_ASSIGN_OR_RETURN(Value key, event.Get(options_.stream_key));
-  EDADB_ASSIGN_OR_RETURN(Table * table, db_->GetTable(options_.table));
-
   std::vector<Record> matches;
   if (!key.is_null()) {
-    if (const BTreeIndex* index = table->GetIndex(options_.table_key);
-        index != nullptr) {
-      for (const RowId row_id : index->Lookup(key)) {
-        auto row = table->GetRow(row_id);
-        if (row.ok()) matches.push_back(*std::move(row));
-      }
-    } else {
-      table->ScanRows([&](RowId, const Record& row) {
-        auto v = row.Get(options_.table_key);
-        if (v.ok()) {
-          auto cmp = Value::Compare(*v, key);
-          if (cmp.ok() && *cmp == 0) matches.push_back(row);
-        }
-        return true;
-      });
-    }
+    // SELECT * FROM <table> WHERE <table_key> = <key>: read under the
+    // database's lock, through the index on table_key when there is one.
+    const Predicate match =
+        Predicate::ColumnsEqual({{options_.table_key, std::move(key)}});
+    EDADB_ASSIGN_OR_RETURN(
+        QueryResult rows,
+        db_->Execute(QueryBuilder(options_.table).Where(match.expr()).Build()));
+    matches = std::move(rows.rows);
   }
 
   if (matches.empty()) {

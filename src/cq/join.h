@@ -21,8 +21,10 @@ namespace edadb {
 /// Stream-table join (enrichment): each stream event is joined with the
 /// current rows of a database table whose `table_key` equals the
 /// event's `stream_key` — the standard pattern for decorating events
-/// with reference data (sensor → location, account → tier). Uses the
-/// table's secondary index on `table_key` when one exists.
+/// with reference data (sensor → location, account → tier). Each lookup
+/// is `SELECT * FROM table WHERE table_key = <event key>` through
+/// Database::Execute, so it uses the index on `table_key` when one
+/// exists and reads the table under the database's lock.
 ///
 /// Emits one output per matching row; in left-outer mode an event with
 /// no match emits once with NULL table columns. Output schema =

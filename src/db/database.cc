@@ -726,47 +726,47 @@ Status Database::DeleteRow(const std::string& table, RowId row_id) {
 Result<size_t> Database::UpdateWhere(
     const std::string& table, const Predicate& where,
     const std::function<Status(Record*)>& mutator) {
-  // Collect matches under a shared lock, then update row by row.
-  std::vector<std::pair<RowId, Record>> matches;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(table);
-    if (it == tables_.end()) return Status::NotFound("table '" + table + "'");
-    it->second->ScanRows([&](RowId row_id, const Record& record) {
-      if (where.MatchesOrFalse(record)) matches.emplace_back(row_id, record);
-      return true;
-    });
+  if (!where.valid()) {
+    return Status::FailedPrecondition("predicate not compiled");
   }
-  size_t updated = 0;
+  std::vector<std::pair<RowId, Record>> matches;
+  EDADB_RETURN_IF_ERROR(FindRows(table, where.expr(),
+                                 [&](RowId row_id, const Record& row) {
+                                   matches.emplace_back(row_id, row);
+                                 })
+                            .status());
+  std::vector<PendingOp> ops;
   for (auto& [row_id, record] : matches) {
     EDADB_RETURN_IF_ERROR(mutator(&record));
-    const Status s = UpdateRow(table, row_id, std::move(record));
-    if (s.IsNotFound()) continue;  // Row deleted concurrently.
-    EDADB_RETURN_IF_ERROR(s);
-    ++updated;
+    auto op = PrepareUpdate(table, row_id, std::move(record));
+    if (op.status().IsNotFound()) continue;  // Deleted since it was found.
+    EDADB_RETURN_IF_ERROR(op.status());
+    ops.push_back(*std::move(op));
   }
+  const size_t updated = ops.size();
+  EDADB_RETURN_IF_ERROR(CommitOps(std::move(ops)));
   return updated;
 }
 
 Result<size_t> Database::DeleteWhere(const std::string& table,
                                      const Predicate& where) {
+  if (!where.valid()) {
+    return Status::FailedPrecondition("predicate not compiled");
+  }
   std::vector<RowId> matches;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(table);
-    if (it == tables_.end()) return Status::NotFound("table '" + table + "'");
-    it->second->ScanRows([&](RowId row_id, const Record& record) {
-      if (where.MatchesOrFalse(record)) matches.push_back(row_id);
-      return true;
-    });
-  }
-  size_t deleted = 0;
+  EDADB_RETURN_IF_ERROR(
+      FindRows(table, where.expr(),
+               [&](RowId row_id, const Record&) { matches.push_back(row_id); })
+          .status());
+  std::vector<PendingOp> ops;
   for (const RowId row_id : matches) {
-    const Status s = DeleteRow(table, row_id);
-    if (s.IsNotFound()) continue;
-    EDADB_RETURN_IF_ERROR(s);
-    ++deleted;
+    auto op = PrepareDelete(table, row_id);
+    if (op.status().IsNotFound()) continue;  // Deleted since it was found.
+    EDADB_RETURN_IF_ERROR(op.status());
+    ops.push_back(*std::move(op));
   }
+  const size_t deleted = ops.size();
+  EDADB_RETURN_IF_ERROR(CommitOps(std::move(ops)));
   return deleted;
 }
 

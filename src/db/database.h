@@ -93,12 +93,18 @@ class Database {
   EDADB_NODISCARD Status DeleteRow(const std::string& table, RowId row_id);
 
   /// Updates all rows matching `where` by calling `mutator` on each;
-  /// returns the number updated.
+  /// returns the number updated. `where` selects rows as a SELECT's
+  /// WHERE does (see Execute), and the statement is one transaction: a
+  /// WHERE or mutator error, or a BEFORE-trigger veto, leaves the table
+  /// as it was. A matched row deleted before its update is staged is
+  /// skipped; one deleted after that fails the commit with NotFound,
+  /// and nothing applies.
   EDADB_NODISCARD Result<size_t> UpdateWhere(const std::string& table,
                              const Predicate& where,
                              const std::function<Status(Record*)>& mutator);
 
-  /// Deletes all rows matching `where`; returns the number deleted.
+  /// Deletes all rows matching `where` in one transaction, as
+  /// UpdateWhere updates them; returns the number deleted.
   EDADB_NODISCARD Result<size_t> DeleteWhere(const std::string& table,
                              const Predicate& where);
 
@@ -112,6 +118,9 @@ class Database {
   // -------------------------------------------------------------------
   // Queries
 
+  /// Runs `query`. WHERE columns must exist in the table (NotFound
+  /// otherwise), NOW() reads the database clock, and an evaluation
+  /// error on a row the access path reads fails the query.
   EDADB_NODISCARD Result<QueryResult> Execute(const Query& query) const;
 
   /// One-line description of the access path Execute would use, e.g.
@@ -176,6 +185,18 @@ class Database {
   EDADB_NODISCARD Result<PendingOp> PrepareUpdate(const std::string& table, RowId row_id,
                                   Record record);
   EDADB_NODISCARD Result<PendingOp> PrepareDelete(const std::string& table, RowId row_id);
+
+  using RowVisitor = std::function<void(RowId, const Record&)>;
+
+  /// The one row finder, behind Execute, DeleteWhere and UpdateWhere:
+  /// under a shared mu_, hands `visit` each row of `table` that `where`
+  /// (null: every row) selects, over the access path Explain reports.
+  /// WHERE columns are checked before any row is read, NOW() reads
+  /// clock_, and an evaluation error fails the call. Returns the
+  /// table's schema.
+  EDADB_NODISCARD Result<SchemaPtr> FindRows(const std::string& table,
+                                             const ExprPtr& where,
+                                             const RowVisitor& visit) const;
 
   /// Shared by PrepareUpdate/PrepareDelete under a shared lock: the
   /// table holding `row_id` (NotFound when either is missing). Sets

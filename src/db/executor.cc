@@ -1,5 +1,7 @@
 // Query execution for Database::Execute: a scan-or-index-scan planner,
 // residual filtering, grouping/aggregation, ordering and projection.
+// Its row finder (Database::FindRows) also serves DeleteWhere and
+// UpdateWhere.
 
 #include <algorithm>
 #include <map>
@@ -196,86 +198,44 @@ Status SortRecords(std::vector<Record>* rows,
   return Status::OK();
 }
 
-/// Runs the scan + filter and returns matching rows (table schema).
-Result<std::vector<Record>> CollectMatching(const Table& table,
-                                            const Query& query,
-                                            Clock* clock) {
-  std::vector<Record> rows;
-  EvalContext ctx;
-  ctx.clock = clock;
-  ctx.missing_attribute_is_null = false;
-
-  // Bind-time validation: every referenced column must exist, so a typo
-  // fails deterministically instead of only when a row is scanned.
-  if (query.where != nullptr) {
-    std::set<std::string> columns;
-    query.where->CollectColumns(&columns);
-    for (const std::string& column : columns) {
-      if (!table.schema()->HasField(column)) {
-        return Status::NotFound("WHERE column '" + column + "'");
-      }
-    }
-  }
-
-  // Pick an indexable conjunct, if any.
+/// How a WHERE reaches its rows: a range scan of the index on the first
+/// conjunct that bounds an indexed column, else (`index` null) a full
+/// scan. The row finder and Explain both take it from ChooseAccessPath.
+struct AccessPath {
   const BTreeIndex* index = nullptr;
   IndexBound bound;
-  if (query.where != nullptr) {
-    std::vector<ExprPtr> conjuncts;
-    CollectConjuncts(query.where, &conjuncts);
-    for (const ExprPtr& conjunct : conjuncts) {
-      auto candidate = ExtractBound(*conjunct);
-      if (!candidate.has_value()) continue;
-      const BTreeIndex* idx = table.GetIndex(candidate->column);
-      if (idx == nullptr) continue;
-      index = idx;
-      bound = *std::move(candidate);
-      break;
-    }
-  }
+  size_t conjuncts = 0;
+};
 
-  Status eval_error;
-  auto consider = [&](const Record& record) {
-    if (query.where != nullptr) {
-      ctx.row = &record;
-      auto matched = query.where->Matches(ctx);
-      if (!matched.ok()) {
-        eval_error = matched.status();
-        return false;
-      }
-      if (!*matched) return true;
-    }
-    rows.push_back(record);
-    return true;
-  };
-
-  if (index != nullptr) {
-    index->Scan(bound.lo, bound.lo_inclusive, bound.hi, bound.hi_inclusive,
-                [&](const Value&, RowId row_id) {
-                  auto record = table.GetRow(row_id);
-                  if (!record.ok()) return true;
-                  return consider(*record);
-                });
-  } else {
-    table.ScanRows([&](RowId, const Record& record) {
-      return consider(record);
-    });
+AccessPath ChooseAccessPath(const Table& table, const ExprPtr& where) {
+  AccessPath path;
+  if (where == nullptr) return path;
+  std::vector<ExprPtr> conjuncts;
+  CollectConjuncts(where, &conjuncts);
+  path.conjuncts = conjuncts.size();
+  for (const ExprPtr& conjunct : conjuncts) {
+    auto bound = ExtractBound(*conjunct);
+    if (!bound.has_value()) continue;
+    const BTreeIndex* index = table.GetIndex(bound->column);
+    if (index == nullptr) continue;
+    path.index = index;
+    path.bound = *std::move(bound);
+    break;
   }
-  EDADB_RETURN_IF_ERROR(eval_error);
-  return rows;
+  return path;
 }
 
-Result<QueryResult> Aggregate_(const Table& table, const Query& query,
+Result<QueryResult> Aggregate_(const Schema& schema, const Query& query,
                                std::vector<Record> input) {
   // Output schema: group-by columns then aggregate aliases.
   std::vector<Field> fields;
   for (const std::string& col : query.group_by) {
-    EDADB_ASSIGN_OR_RETURN(ValueType type, table.schema()->FieldType(col));
+    EDADB_ASSIGN_OR_RETURN(ValueType type, schema.FieldType(col));
     fields.emplace_back(col, type);
   }
   for (const Aggregate& agg : query.aggregates) {
     if (agg.func != Aggregate::Func::kCount) {
-      if (table.schema()->FieldIndex(agg.column) < 0) {
+      if (schema.FieldIndex(agg.column) < 0) {
         return Status::NotFound("aggregate column '" + agg.column + "'");
       }
     }
@@ -283,7 +243,7 @@ Result<QueryResult> Aggregate_(const Table& table, const Query& query,
         agg.alias.empty()
             ? std::string(Aggregate::FuncName(agg.func))
             : agg.alias,
-        AggregateResultType(agg, *table.schema()));
+        AggregateResultType(agg, schema));
   }
   SchemaPtr out_schema = Schema::Make(std::move(fields));
 
@@ -343,20 +303,20 @@ Result<QueryResult> Aggregate_(const Table& table, const Query& query,
   return result;
 }
 
-Result<QueryResult> Project(const Table& table, const Query& query,
+Result<QueryResult> Project(const SchemaPtr& schema, const Query& query,
                             std::vector<Record> input) {
   if (query.select.empty()) {
     QueryResult result;
-    result.schema = table.schema();
+    result.schema = schema;
     result.rows = std::move(input);
     return result;
   }
   std::vector<Field> fields;
   std::vector<int> source_idx;
   for (const std::string& col : query.select) {
-    const int idx = table.schema()->FieldIndex(col);
+    const int idx = schema->FieldIndex(col);
     if (idx < 0) return Status::NotFound("SELECT column '" + col + "'");
-    fields.push_back(table.schema()->field(static_cast<size_t>(idx)));
+    fields.push_back(schema->field(static_cast<size_t>(idx)));
     source_idx.push_back(idx);
   }
   SchemaPtr out_schema = Schema::Make(std::move(fields));
@@ -385,44 +345,88 @@ Result<std::string> Database::Explain(const Query& query) const {
   if (it == tables_.end()) {
     return Status::NotFound("table '" + query.table + "'");
   }
-  const Table& table = *it->second;
-  if (query.where != nullptr) {
-    std::vector<ExprPtr> conjuncts;
-    CollectConjuncts(query.where, &conjuncts);
-    for (const ExprPtr& conjunct : conjuncts) {
-      auto bound = ExtractBound(*conjunct);
-      if (!bound.has_value()) continue;
-      if (table.GetIndex(bound->column) == nullptr) continue;
-      std::string out = "index scan on " + query.table + "." +
-                        bound->column + " ";
-      out += bound->lo.has_value()
-                 ? (bound->lo_inclusive ? "[" : "(") + bound->lo->ToString()
-                 : "(-inf";
-      out += ", ";
-      out += bound->hi.has_value()
-                 ? bound->hi->ToString() + (bound->hi_inclusive ? "]" : ")")
-                 : "+inf)";
-      if (conjuncts.size() > 1) out += " + residual filter";
-      return out;
-    }
+  const AccessPath path = ChooseAccessPath(*it->second, query.where);
+  if (path.index != nullptr) {
+    const IndexBound& bound = path.bound;
+    std::string out =
+        "index scan on " + query.table + "." + bound.column + " ";
+    out += bound.lo.has_value()
+               ? (bound.lo_inclusive ? "[" : "(") + bound.lo->ToString()
+               : "(-inf";
+    out += ", ";
+    out += bound.hi.has_value()
+               ? bound.hi->ToString() + (bound.hi_inclusive ? "]" : ")")
+               : "+inf)";
+    if (path.conjuncts > 1) out += " + residual filter";
+    return out;
   }
   std::string out = "full scan of " + query.table + " (" +
-                    std::to_string(table.num_rows()) + " rows)";
+                    std::to_string(it->second->num_rows()) + " rows)";
   if (query.where != nullptr) out += " + filter";
   return out;
 }
 
+Result<SchemaPtr> Database::FindRows(const std::string& table,
+                                     const ExprPtr& where,
+                                     const RowVisitor& visit) const {
+  std::shared_lock lock(mu_);
+  auto it = tables_.find(table);
+  if (it == tables_.end()) return Status::NotFound("table '" + table + "'");
+  const Table& t = *it->second;
+
+  // Bind-time validation: every referenced column must exist, so a typo
+  // fails deterministically instead of only when a row is scanned.
+  if (where != nullptr) {
+    std::set<std::string> columns;
+    where->CollectColumns(&columns);
+    for (const std::string& column : columns) {
+      if (!t.schema()->HasField(column)) {
+        return Status::NotFound("WHERE column '" + column + "'");
+      }
+    }
+  }
+
+  EvalContext ctx;
+  ctx.clock = clock_;
+  ctx.missing_attribute_is_null = false;
+  Status eval_error;
+  auto consider = [&](RowId row_id, const Record& record) {
+    if (where != nullptr) {
+      ctx.row = &record;
+      auto matched = where->Matches(ctx);
+      if (!matched.ok()) {
+        eval_error = matched.status();
+        return false;
+      }
+      if (!*matched) return true;
+    }
+    visit(row_id, record);
+    return true;
+  };
+
+  const AccessPath path = ChooseAccessPath(t, where);
+  if (path.index != nullptr) {
+    const IndexBound& bound = path.bound;
+    path.index->Scan(bound.lo, bound.lo_inclusive, bound.hi,
+                     bound.hi_inclusive, [&](const Value&, RowId row_id) {
+                       auto record = t.GetRow(row_id);
+                       if (!record.ok()) return true;
+                       return consider(row_id, *record);
+                     });
+  } else {
+    t.ScanRows(consider);
+  }
+  if (!eval_error.ok()) return eval_error;
+  return t.schema();
+}
+
 Result<QueryResult> Database::Execute(const Query& query) const {
   if (!query.build_error.ok()) return query.build_error;  // See Explain.
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(query.table);
-  if (it == tables_.end()) {
-    return Status::NotFound("table '" + query.table + "'");
-  }
-  const Table& table = *it->second;
-
-  EDADB_ASSIGN_OR_RETURN(std::vector<Record> rows,
-                         CollectMatching(table, query, clock_));
+  std::vector<Record> rows;
+  EDADB_ASSIGN_OR_RETURN(
+      SchemaPtr schema,
+      FindRows(query.table, query.where,
+               [&](RowId, const Record& row) { rows.push_back(row); }));
 
   QueryResult result;
   if (!query.aggregates.empty() || !query.group_by.empty()) {
@@ -430,7 +434,7 @@ Result<QueryResult> Database::Execute(const Query& query) const {
       return Status::InvalidArgument("GROUP BY requires aggregates");
     }
     EDADB_ASSIGN_OR_RETURN(result,
-                           Aggregate_(table, query, std::move(rows)));
+                           Aggregate_(*schema, query, std::move(rows)));
     if (!query.order_by.empty()) {
       EDADB_RETURN_IF_ERROR(SortRecords(&result.rows, query.order_by));
     }
@@ -438,7 +442,7 @@ Result<QueryResult> Database::Execute(const Query& query) const {
     if (!query.order_by.empty()) {
       EDADB_RETURN_IF_ERROR(SortRecords(&rows, query.order_by));
     }
-    EDADB_ASSIGN_OR_RETURN(result, Project(table, query, std::move(rows)));
+    EDADB_ASSIGN_OR_RETURN(result, Project(schema, query, std::move(rows)));
   }
   if (result.rows.size() > query.limit) {
     result.rows.resize(query.limit);

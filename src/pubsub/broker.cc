@@ -89,15 +89,6 @@ SchemaPtr RetainedSchema() {
   });
 }
 
-std::string EscapeSqlString(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\'') out += "''";
-    else out += c;
-  }
-  return out;
-}
-
 std::string GetStringField(const Record& row, std::string_view field) {
   auto v = row.Get(field);
   return v.ok() && v->type() == ValueType::kString ? v->string_value()
@@ -171,34 +162,42 @@ std::string Broker::SubQueueName(const std::string& id) {
 
 Result<Predicate> Broker::BuildCondition(std::string_view topic_pattern,
                                          std::string_view content_filter) {
-  std::vector<std::string> clauses;
+  // Built as an AST and ANDed with the filter compiled on its own, so
+  // neither a quote in the topic nor a parenthesis in the filter can
+  // reach past its own clause.
+  ExprPtr condition;
   if (!topic_pattern.empty()) {
-    const bool has_wildcard =
-        topic_pattern.find('*') != std::string_view::npos ||
-        topic_pattern.find('?') != std::string_view::npos;
-    if (has_wildcard) {
-      std::string like(topic_pattern);
-      std::replace(like.begin(), like.end(), '*', '%');
-      std::replace(like.begin(), like.end(), '?', '_');
-      clauses.push_back("topic LIKE '" + EscapeSqlString(like) + "'");
-    } else {
+    std::string pattern(topic_pattern);
+    if (pattern.find_first_of("*?") == std::string::npos) {
       // Exact topics index as hash-equality conjuncts in the matcher.
-      clauses.push_back("topic = '" +
-                        EscapeSqlString(std::string(topic_pattern)) + "'");
+      condition = Predicate::ColumnsEqual(
+                      {{"topic", Value::String(std::move(pattern))}})
+                      .expr();
+    } else {
+      std::replace(pattern.begin(), pattern.end(), '*', '%');
+      std::replace(pattern.begin(), pattern.end(), '?', '_');
+      condition = std::make_shared<LikeExpr>(
+          std::make_shared<ColumnExpr>("topic"),
+          std::make_shared<LiteralExpr>(Value::String(std::move(pattern))),
+          /*negated=*/false);
     }
   }
   if (!content_filter.empty()) {
-    clauses.push_back("(" + std::string(content_filter) + ")");
+    EDADB_ASSIGN_OR_RETURN(Predicate filter,
+                           Predicate::Compile(content_filter));
+    condition = condition == nullptr
+                    ? filter.expr()
+                    : std::make_shared<BinaryExpr>(BinaryOp::kAnd,
+                                                   std::move(condition),
+                                                   filter.expr());
   }
-  if (clauses.empty()) return Predicate::Compile("TRUE");
-  return Predicate::Compile(Join(clauses, " AND "));
+  if (condition == nullptr) {
+    condition = std::make_shared<LiteralExpr>(Value::Bool(true));
+  }
+  return Predicate::FromExpr(std::move(condition));
 }
 
-Status Broker::CompileIntoMatcher(const std::string& id,
-                                  const SubscriptionSpec& spec) {
-  EDADB_ASSIGN_OR_RETURN(
-      Predicate condition,
-      BuildCondition(spec.topic_pattern, spec.content_filter));
+Status Broker::AddToMatcher(const std::string& id, Predicate condition) {
   Rule rule;
   rule.id = id;
   rule.condition = std::move(condition);
@@ -207,32 +206,52 @@ Status Broker::CompileIntoMatcher(const std::string& id,
 
 Status Broker::LoadPersisted() {
   EDADB_ASSIGN_OR_RETURN(Table * table, db_->GetTable(kSubsTable));
-  // Scan into locals first: guarded members are only touched under the
-  // lock below, in this function body, where the analysis can see it.
-  std::vector<std::pair<std::string, std::shared_ptr<SubscriptionState>>>
-      loaded;
+  // Scan and compile into locals first: guarded members are only
+  // touched under the lock below, in this function body, where the
+  // analysis can see it.
+  struct Loaded {
+    std::string id;
+    std::shared_ptr<SubscriptionState> state;
+    std::optional<Predicate> condition;  // Unset: matches nothing.
+  };
+  std::vector<Loaded> loaded;
   table->ScanRows([&](RowId, const Record& row) {
-    const std::string id = GetStringField(row, "sub_id");
-    auto state = std::make_shared<SubscriptionState>();
-    state->spec.subscriber = GetStringField(row, "subscriber");
-    state->spec.topic_pattern = GetStringField(row, "topic_pattern");
-    state->spec.content_filter = GetStringField(row, "filter");
+    Loaded sub;
+    sub.id = GetStringField(row, "sub_id");
+    sub.state = std::make_shared<SubscriptionState>();
+    SubscriptionSpec& spec = sub.state->spec;
+    spec.subscriber = GetStringField(row, "subscriber");
+    spec.topic_pattern = GetStringField(row, "topic_pattern");
+    spec.content_filter = GetStringField(row, "filter");
     auto durable = row.Get("durable");
-    state->spec.durable = durable.ok() && !durable->is_null() &&
-                          durable->bool_value();
-    state->queue = SubQueueName(id);
-    loaded.emplace_back(id, std::move(state));
+    spec.durable = durable.ok() && !durable->is_null() &&
+                   durable->bool_value();
+    sub.state->queue = SubQueueName(sub.id);
+    auto condition = BuildCondition(spec.topic_pattern, spec.content_filter);
+    if (condition.ok()) {
+      sub.condition = *std::move(condition);
+    } else {
+      // A filter stored before filters were compiled on their own (one
+      // that closed the topic clause's parenthesis) fails here. It
+      // stays listed, so its queue can be fetched and it can be
+      // unsubscribed, but it receives nothing new.
+      EDADB_LOG(Warn) << "subscription '" << sub.id
+                      << "' left out of matching: " << condition.status();
+    }
+    loaded.push_back(std::move(sub));
     return true;
   });
   MutexLock lock(&mu_);
-  for (auto& [id, state] : loaded) {
-    EDADB_RETURN_IF_ERROR(CompileIntoMatcher(id, state->spec));
+  for (Loaded& sub : loaded) {
+    if (sub.condition.has_value()) {
+      EDADB_RETURN_IF_ERROR(AddToMatcher(sub.id, *std::move(sub.condition)));
+    }
     // Track the numeric suffix so new ids keep increasing.
-    if (StartsWith(id, "sub-")) {
-      const uint64_t seq = std::strtoull(id.c_str() + 4, nullptr, 10);
+    if (StartsWith(sub.id, "sub-")) {
+      const uint64_t seq = std::strtoull(sub.id.c_str() + 4, nullptr, 10);
       if (seq >= next_sub_seq_) next_sub_seq_ = seq + 1;
     }
-    subscriptions_.emplace(id, std::move(state));
+    subscriptions_.emplace(std::move(sub.id), std::move(sub.state));
   }
   return Status::OK();
 }
@@ -242,11 +261,14 @@ Result<std::string> Broker::Subscribe(SubscriptionSpec spec) {
     return Status::InvalidArgument(
         "non-durable subscription needs a handler");
   }
+  EDADB_ASSIGN_OR_RETURN(
+      Predicate condition,
+      BuildCondition(spec.topic_pattern, spec.content_filter));
   std::string id;
   {
     MutexLock lock(&mu_);
     id = "sub-" + std::to_string(next_sub_seq_++);
-    EDADB_RETURN_IF_ERROR(CompileIntoMatcher(id, spec));
+    EDADB_RETURN_IF_ERROR(AddToMatcher(id, condition));
   }
   if (spec.durable) {
     // Durable: persist the subscription and its buffer queue.
@@ -282,11 +304,10 @@ Result<std::string> Broker::Subscribe(SubscriptionSpec spec) {
   // newcomer immediately.
   std::vector<Publication> retained_matches;
   {
-    EDADB_ASSIGN_OR_RETURN(Predicate condition,
-                           BuildCondition(state->spec.topic_pattern,
-                                          state->spec.content_filter));
-    EDADB_ASSIGN_OR_RETURN(Table * retained, db_->GetTable(kRetainedTable));
-    retained->ScanRows([&](RowId, const Record& row) {
+    EDADB_ASSIGN_OR_RETURN(
+        QueryResult retained,
+        db_->Execute(QueryBuilder(kRetainedTable).Build()));
+    for (const Record& row : retained.rows) {
       Publication pub;
       pub.topic = GetStringField(row, "topic");
       pub.payload = GetStringField(row, "payload");
@@ -299,8 +320,7 @@ Result<std::string> Broker::Subscribe(SubscriptionSpec spec) {
       if (condition.MatchesOrFalse(view)) {
         retained_matches.push_back(std::move(pub));
       }
-      return true;
-    });
+    }
   }
   for (const Publication& pub : retained_matches) {
     EDADB_RETURN_IF_ERROR(DeliverTo(*state, pub));

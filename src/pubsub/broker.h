@@ -229,12 +229,14 @@ class Broker {
   };
 
   EDADB_NODISCARD Status LoadPersisted();
-  EDADB_NODISCARD Status CompileIntoMatcher(const std::string& id,
-                            const SubscriptionSpec& spec)
+  EDADB_NODISCARD Status AddToMatcher(const std::string& id,
+                                      Predicate condition)
       EDADB_REQUIRES(mu_);
   static std::string SubQueueName(const std::string& id);
 
-  /// Builds the matcher condition: topic pattern + content filter.
+  /// Builds the matcher condition: topic pattern AND content filter.
+  /// The filter is compiled on its own, so one that does not compile
+  /// alone (say, an unbalanced parenthesis) is InvalidArgument.
   EDADB_NODISCARD static Result<Predicate> BuildCondition(
       std::string_view topic_pattern, std::string_view content_filter);
 

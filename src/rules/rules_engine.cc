@@ -195,15 +195,13 @@ size_t RulesEngine::num_rules() const {
 
 std::vector<std::string> RulesEngine::ListRules() const {
   std::vector<std::string> ids;
-  auto table = db_->GetTable(kRulesTable);
-  if (!table.ok()) return ids;
-  (*table)->ScanRows([&](RowId, const Record& row) {
-    auto v = row.Get("rule_id");
-    if (v.ok() && v->type() == ValueType::kString) {
-      ids.push_back(v->string_value());
-    }
-    return true;
-  });
+  auto rows =
+      db_->Execute(QueryBuilder(kRulesTable).Select({"rule_id"}).Build());
+  if (!rows.ok()) return ids;
+  for (const Record& row : rows->rows) {
+    const Value& id = row.value(0);
+    if (id.type() == ValueType::kString) ids.push_back(id.string_value());
+  }
   return ids;
 }
 

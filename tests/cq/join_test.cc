@@ -1,6 +1,7 @@
 #include "cq/join.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -118,6 +119,35 @@ TEST_F(StreamTableJoinTest, WorksWithoutIndexViaScan) {
   ASSERT_TRUE(join->Push(Tick("ACME", 5)).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].Get("exchange")->string_value(), "LSE");
+}
+
+// Push reads the table through Database::Execute, under the database's
+// lock, so it races no writer, with or without an index on the join key
+// (the TSan suites run this).
+TEST_F(StreamTableJoinTest, PushWhileTableChanges) {
+  ASSERT_OK(db_->CreateTable("unindexed", ref_schema_).status());
+  constexpr int kRows = 200;
+  auto symbol = [](int i) { return "S" + std::to_string(i); };
+  for (const std::string table : {"listings", "unindexed"}) {
+    auto join = *StreamTableJoin::Create(
+        db_.get(), TickSchema(),
+        {.stream_key = "symbol", .table = table, .table_key = "symbol"},
+        [](const Record&) {});
+    std::thread writer([&] {
+      for (int i = 0; i < kRows; ++i) {
+        EXPECT_OK(db_->Insert(table, Record(ref_schema_,
+                                            {Value::String(symbol(i)),
+                                             Value::String("X")}))
+                      .status());
+      }
+    });
+    for (int i = 0; i < kRows; ++i) EXPECT_OK(join->Push(Tick(symbol(i), 1)));
+    writer.join();
+    // Once every row is in, every event joins exactly once.
+    const uint64_t before = join->emitted();
+    for (int i = 0; i < kRows; ++i) EXPECT_OK(join->Push(Tick(symbol(i), 2)));
+    EXPECT_EQ(join->emitted() - before, static_cast<uint64_t>(kRows));
+  }
 }
 
 TEST_F(StreamTableJoinTest, CreateValidation) {

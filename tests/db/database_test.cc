@@ -102,6 +102,30 @@ TEST_F(DatabaseTest, UpdateWhereAndDeleteWhere) {
   EXPECT_EQ(*db_->CountRows("orders"), 5u);
 }
 
+// DeleteWhere evaluates its WHERE on the rows the access path reads,
+// as SELECT does. AND short-circuits, so the failing conjunct comes
+// first: a full scan reaches the row where it fails, the index on id
+// reads only row 5.
+TEST_F(DatabaseTest, DeleteWhereEvaluatesTheRowsItsAccessPathReads) {
+  const SchemaPtr schema = Schema::Make(
+      {{"id", ValueType::kInt64, false}, {"n", ValueType::kInt64, false}});
+  ASSERT_OK(db_->CreateTable("t", schema).status());
+  for (int64_t i = 1; i <= 5; ++i) {
+    ASSERT_OK(
+        db_->Insert("t", Record(schema, {Value::Int64(i), Value::Int64(i)}))
+            .status());
+  }
+  const Predicate where = *Predicate::Compile("100 / (n - 3) > 0 AND id = 5");
+  EXPECT_TRUE(db_->DeleteWhere("t", where).status().IsInvalidArgument());
+  EXPECT_EQ(*db_->CountRows("t"), 5u);
+
+  ASSERT_OK(db_->CreateIndex("t", "id", /*unique=*/false));
+  EXPECT_EQ(*db_->Explain(QueryBuilder("t").Where(where.expr()).Build()),
+            "index scan on t.id [5, 5] + residual filter");
+  EXPECT_EQ(*db_->DeleteWhere("t", where), 1u);
+  EXPECT_EQ(*db_->CountRows("t"), 4u);
+}
+
 TEST_F(DatabaseTest, UniqueIndexEnforced) {
   ASSERT_OK(db_->CreateIndex("orders", "order_id", /*unique=*/true));
   ASSERT_OK(db_->Insert("orders", MakeOrder(7, "a", 1)).status());

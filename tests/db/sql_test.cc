@@ -8,10 +8,14 @@ namespace {
 
 class SqlTest : public testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Reopen(); }
+
+  void Reopen(Clock* clock = nullptr) {
+    db_.reset();
     DatabaseOptions options;
     options.dir = dir_.path();
     options.wal_sync_policy = WalSyncPolicy::kNever;
+    options.clock = clock;
     db_ = *Database::Open(std::move(options));
   }
 
@@ -27,7 +31,17 @@ class SqlTest : public testing::Test {
     return result.ok() ? Status::OK() : result.status();
   }
 
+  /// The n column of t, in order.
+  std::vector<int64_t> Column() {
+    std::vector<int64_t> out;
+    for (const Record& row : Exec("SELECT n FROM t ORDER BY n").result.rows) {
+      out.push_back(row.Get("n")->int64_value());
+    }
+    return out;
+  }
+
   TempDir dir_;
+  SimulatedClock clock_;
   std::unique_ptr<Database> db_;
 };
 
@@ -100,6 +114,49 @@ TEST_F(SqlTest, InsertIsAtomicAcrossTuples) {
   // Second tuple violates NOT NULL; nothing must land.
   EXPECT_FALSE(ExecError("INSERT INTO t VALUES (1), (NULL)").ok());
   EXPECT_EQ(*db_->CountRows("t"), 0u);
+}
+
+TEST_F(SqlTest, UpdateAndDeleteAreAtomic) {
+  Exec("CREATE TABLE t (n INT64 NOT NULL)");
+  Exec("INSERT INTO t VALUES (1), (2), (3), (4), (5)");
+  const std::vector<int64_t> all = {1, 2, 3, 4, 5};
+
+  // The SET expression divides by zero on row 3, after rows 1 and 2.
+  EXPECT_TRUE(ExecError("UPDATE t SET n = 100 / (n - 3)").IsInvalidArgument());
+  EXPECT_EQ(Column(), all);
+
+  // The WHERE fails on row 3 only.
+  EXPECT_TRUE(
+      ExecError("DELETE FROM t WHERE 100 / (n - 3) > 0").IsInvalidArgument());
+  EXPECT_EQ(Column(), all);
+
+  // A BEFORE trigger vetoes row 3's delete.
+  TriggerDef veto;
+  veto.name = "keep_3";
+  veto.table = "t";
+  veto.timing = TriggerTiming::kBefore;
+  veto.ops = kDmlDelete;
+  veto.when = *Predicate::Compile("n = 3");
+  veto.action = [](const TriggerEvent&) {
+    return Status::FailedPrecondition("row 3 stays");
+  };
+  ASSERT_OK(db_->CreateTrigger(std::move(veto)));
+  EXPECT_TRUE(ExecError("DELETE FROM t").IsAborted());
+  EXPECT_EQ(Column(), all);
+
+  Reopen();
+  EXPECT_EQ(Column(), all);
+}
+
+TEST_F(SqlTest, NowInUpdateAndDeleteReadsTheDatabaseClock) {
+  clock_.SetMicros(kMicrosPerSecond);
+  Reopen(&clock_);
+  Exec("CREATE TABLE t (ts TIMESTAMP)");
+  Exec("INSERT INTO t VALUES (2000000), (2000000), (2000000)");
+  EXPECT_TRUE(Exec("SELECT * FROM t WHERE ts < NOW()").result.rows.empty());
+  EXPECT_EQ(Exec("UPDATE t SET ts = 0 WHERE ts < NOW()").rows_affected, 0u);
+  EXPECT_EQ(Exec("DELETE FROM t WHERE ts < NOW()").rows_affected, 0u);
+  EXPECT_EQ(*db_->CountRows("t"), 3u);
 }
 
 TEST_F(SqlTest, SelectProjectionWhereOrderLimit) {
@@ -220,6 +277,9 @@ TEST_F(SqlTest, UnknownObjectsAreNotFound) {
   EXPECT_TRUE(ExecError("INSERT INTO t (missing) VALUES (1)").IsNotFound());
   EXPECT_TRUE(
       ExecError("UPDATE t SET missing = 1").IsNotFound());
+  EXPECT_TRUE(ExecError("DELETE FROM t WHERE missing = 1").IsNotFound());
+  EXPECT_TRUE(
+      ExecError("UPDATE t SET n = 1 WHERE missing = 1").IsNotFound());
 }
 
 TEST_F(SqlTest, InsertValuesCannotReferenceColumns) {

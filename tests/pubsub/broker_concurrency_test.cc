@@ -108,6 +108,41 @@ TEST_F(BrokerConcurrencyTest, ParallelPublishSubscribeUnsubscribe) {
   EXPECT_EQ(broker_->num_subscriptions(), 1u);
 }
 
+// Subscribe reads the retained publications through Database::Execute,
+// under the database's lock, so it races no retained Publish (the TSan
+// suites run this).
+TEST_F(BrokerConcurrencyTest, SubscribeWhileRetainedPublishesReplaceTheValue) {
+  constexpr int kTopics = 16;
+  constexpr int kSubscribes = 200;
+  std::atomic<bool> done{false};
+  std::thread publisher([&] {
+    for (int i = 0; i < kTopics || !done.load(); ++i) {
+      Publication pub = Pub("retained/" + std::to_string(i % kTopics),
+                            "v" + std::to_string(i));
+      pub.retain = true;
+      EXPECT_OK(broker_->Publish(pub).status());
+    }
+  });
+  for (int i = 0; i < kSubscribes; ++i) {
+    SubscriptionSpec spec;
+    spec.subscriber = "late-" + std::to_string(i);
+    spec.topic_pattern = "retained/*";
+    spec.handler = [](const Publication&) {};
+    EXPECT_OK(broker_->Subscribe(std::move(spec)).status());
+  }
+  done.store(true);
+  publisher.join();
+
+  // Each topic keeps one retained value, and a newcomer is served each.
+  int served = 0;
+  SubscriptionSpec last;
+  last.subscriber = "last";
+  last.topic_pattern = "retained/*";
+  last.handler = [&](const Publication&) { ++served; };
+  ASSERT_OK(broker_->Subscribe(std::move(last)).status());
+  EXPECT_EQ(served, kTopics);
+}
+
 TEST_F(BrokerConcurrencyTest, DurableSubscribersFetchWhilePublishersRace) {
   constexpr int kPublishers = 4;
   constexpr int kPerPublisher = 40;

@@ -97,6 +97,62 @@ TEST_F(BrokerTest, TopicAndContentCombined) {
   EXPECT_EQ(hits, 1);
 }
 
+// The content filter is compiled on its own and ANDed with the topic
+// clause, so it cannot close that clause's parenthesis and widen the
+// topic.
+TEST_F(BrokerTest, ContentFilterCannotWidenItsTopic) {
+  const std::string widening = "severity >= 6) OR (TRUE";
+  std::vector<std::string> received;
+  SubscriptionSpec spec;
+  spec.subscriber = "north";
+  spec.topic_pattern = "alerts.north";
+  spec.content_filter = widening;
+  spec.handler = [&](const Publication& pub) {
+    received.push_back(pub.topic);
+  };
+  EXPECT_TRUE(broker_->Subscribe(std::move(spec)).status().IsInvalidArgument());
+  ASSERT_OK(broker_->Publish(Pub("billing.south", "b1", 9)).status());
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(broker_->num_subscriptions(), 0u);
+  EXPECT_TRUE(broker_
+                  ->SubscribeLive({.subscriber = "north",
+                                   .topic_pattern = "alerts.north",
+                                   .content_filter = widening})
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// Earlier versions stored such a filter for a durable subscription. It
+// does not stop the broker from attaching: the subscription stays
+// listed, fetchable and removable, but matches nothing new.
+TEST_F(BrokerTest, StoredFilterThatNoLongerCompilesMatchesNothing) {
+  SubscriptionSpec spec;
+  spec.subscriber = "north";
+  spec.topic_pattern = "alerts.north";
+  spec.durable = true;
+  const std::string id = *broker_->Subscribe(std::move(spec));
+  ASSERT_OK(broker_->Publish(Pub("alerts.north", "kept", 9)).status());
+  ASSERT_OK(db_->UpdateWhere(
+                   "__subscriptions",
+                   Predicate::ColumnsEqual({{"sub_id", Value::String(id)}}),
+                   [](Record* row) {
+                     return row->Set("filter",
+                                     Value::String("severity >= 6) OR (TRUE"));
+                   })
+                .status());
+  Reopen();
+  EXPECT_EQ(broker_->ListSubscriptions(), (std::vector<std::string>{id}));
+  EXPECT_EQ(*broker_->Publish(Pub("billing.south", "b1", 9)), 0u);
+  EXPECT_EQ(*broker_->Publish(Pub("alerts.north", "a2", 9)), 0u);
+  auto fetched = *broker_->Fetch(id);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->payload, "kept");
+  EXPECT_FALSE(broker_->Fetch(id)->has_value());
+  ASSERT_OK(broker_->Unsubscribe(id));
+  Reopen();
+  EXPECT_EQ(broker_->num_subscriptions(), 0u);
+}
+
 TEST_F(BrokerTest, NonDurableRequiresHandler) {
   SubscriptionSpec spec;
   spec.subscriber = "x";

@@ -1,6 +1,8 @@
 #include "rules/rules_engine.h"
 
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include "common/failpoint.h"
 #include "gtest/gtest.h"
@@ -171,6 +173,28 @@ TEST_F(RulesEngineTest, SetRuleEnabledWithQuoteInIdTouchesOnlyThatRule) {
   EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"a"}));
   Reopen();
   EXPECT_EQ(*engine_->Evaluate(event), (std::vector<std::string>{"a"}));
+}
+
+// ListRules reads __rules through Database::Execute, under the
+// database's lock, so it races no rule change (the TSan suites run it).
+TEST_F(RulesEngineTest, ListRulesWhileAddingRules) {
+  constexpr int kRules = 200;
+  std::atomic<bool> done{false};
+  std::thread adder([&] {
+    for (int i = 0; i < kRules; ++i) {
+      EXPECT_OK(engine_->AddRule("r" + std::to_string(i),
+                                 "x = " + std::to_string(i), "log"));
+    }
+    done.store(true);
+  });
+  size_t last = 0;
+  while (!done.load()) {
+    const size_t listed = engine_->ListRules().size();
+    EXPECT_GE(listed, last);
+    last = listed;
+  }
+  adder.join();
+  EXPECT_EQ(engine_->ListRules().size(), static_cast<size_t>(kRules));
 }
 
 #if EDADB_FAILPOINTS_ENABLED
