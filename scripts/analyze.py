@@ -483,6 +483,9 @@ CLASS_HEAD_RE = re.compile(
     r"\b(?:class|struct)\s+(?:EDADB_\w+\s*(?:\([^)]*\)\s*)?)?([A-Za-z_]\w*)"
     r"[^;()]*$")
 PARAM_RE = re.compile(r"([A-Z]\w*)\s*[*&]+\s*(?:const\s+)?([a-z_]\w*)")
+# An owning local that names its pointee: `std::unique_ptr<T> x =`.
+OWNED_LOCAL_RE = re.compile(
+    r"\bstd::(?:unique|shared)_ptr<\s*([A-Z]\w*)\s*>\s+([a-z_]\w*)\s*=")
 
 
 class BuiltinFrontend:
@@ -889,6 +892,9 @@ def builtin_parse_file(model, path, rel, phase):
                 f.statics[key.rsplit("::", 1)[-1]] = key
         for m in PARAM_RE.finditer(stmt):
             state["locals"].setdefault(m.group(2), m.group(1))
+        # Calls on it resolve as calls on a parameter do.
+        for m in OWNED_LOCAL_RE.finditer(stmt):
+            f.params.setdefault(m.group(2), m.group(1))
 
         acq = ACQUIRE_RE.search(stmt)
         if acq:

@@ -7,11 +7,14 @@
 //   convoy/deadlock shape; waiting on one's own mutex is fine).
 // - The same, where the call's arguments hold a lambda body or the call
 //   is an `if` condition: block headers carry calls too.
+// - The same, through an owning local (`std::unique_ptr<T> x = ...`),
+//   whose declaration names the receiver's type.
 // - std::this_thread::sleep_for under a lock.
 // - cv-wait-no-loop: a CondVar wait with no enclosing predicate loop.
 // - Negative controls: ::write with no lock held, and a correctly
 //   looped wait on the waited mutex only.
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "support.h"
@@ -85,6 +88,29 @@ class ConditionUnderLock {
   Mutex mu_{"ConditionUnderLock::mu_"};
   Store* store_ EDADB_GUARDED_BY(mu_);
   int flushes_ EDADB_GUARDED_BY(mu_) = 0;
+};
+
+class OwnedTxn {
+ public:
+  bool Commit() { return ::write(1, "x", 1) == 1; }
+};
+
+class TxnSource {
+ public:
+  std::unique_ptr<OwnedTxn> Begin() { return std::make_unique<OwnedTxn>(); }
+};
+
+class OwnedLocalUnderLock {
+ public:
+  void Apply() {
+    MutexLock l(&mu_);
+    std::unique_ptr<OwnedTxn> txn = source_->Begin();
+    txn->Commit();  // expect-analyze: wait-under-lock
+  }
+
+ private:
+  Mutex mu_{"OwnedLocalUnderLock::mu_"};
+  TxnSource* source_ EDADB_GUARDED_BY(mu_);
 };
 
 class TwoLockWait {

@@ -1,6 +1,7 @@
 #include "db/sql.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/string_util.h"
@@ -198,7 +199,7 @@ class StatementParser {
     EDADB_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
     SqlResult result;
     result.kind = SqlResult::Kind::kInsert;
-    auto txn = db_->BeginTransaction();
+    std::unique_ptr<Transaction> txn = db_->BeginTransaction();
     for (;;) {
       EDADB_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "("));
       std::vector<Value> row_values(schema->num_fields());

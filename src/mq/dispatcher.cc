@@ -89,11 +89,12 @@ Result<size_t> QueueDispatcher::PumpOnce() {
               0, queues_->db()->clock()->WallNow() -
                      WallMicros::FromMicros(message->enqueue_time))));
       const Status status = binding.handler(*message);
+      const std::span<const MessageId> id(&message->id, 1);
       MutexLock lock(&mu_);
       auto it = bindings_.find(Key(binding.queue, binding.group));
       if (status.ok()) {
         EDADB_RETURN_IF_ERROR(
-            queues_->Ack(binding.queue, binding.group, message->id));
+            queues_->Settle(binding.queue, binding.group, {.acked = id}));
         if (it != bindings_.end()) ++it->second.stats.handled;
         HandledCounter()->Add(1);
         ++handled_total;
@@ -101,7 +102,7 @@ Result<size_t> QueueDispatcher::PumpOnce() {
         EDADB_LOG(Warn) << "handler for queue '" << binding.queue
                         << "' failed: " << status;
         EDADB_RETURN_IF_ERROR(
-            queues_->Nack(binding.queue, binding.group, message->id));
+            queues_->Settle(binding.queue, binding.group, {.nacked = id}));
         if (it != bindings_.end()) ++it->second.stats.failed;
         RetriesCounter()->Add(1);
         // Leave the message for redelivery policy; stop this binding's

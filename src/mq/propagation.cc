@@ -214,25 +214,25 @@ Result<bool> Propagator::MoveBatch(const PropagationRule& rule,
   }
   for (size_t i = 0; i < moved; ++i) acks.push_back(forward[i]->id);
   delta->forwarded += moved;
-  if (!acks.empty()) {
-    EDADB_RETURN_IF_ERROR(
-        queues_->AckBatch(rule.source_queue, rule.source_group, acks));
-  }
-  if (moved == forward.size()) return false;
-  // The failed message is charged one attempt (Nack); the ones after it
-  // were never tried, so they go back uncharged.
-  ++delta->failed;
-  EDADB_RETURN_IF_ERROR(queues_->Nack(rule.source_queue, rule.source_group,
-                                      forward[moved]->id));
+  // One Settle for the batch: the delivered prefix and the filter drops
+  // are acked; past a failure, the failed message is charged one attempt
+  // (nacked) and the ones after it, never tried, go back uncharged
+  // (released).
+  Settlement settlement;
+  settlement.acked = acks;
   std::vector<MessageId> untried;
-  for (size_t i = moved + 1; i < forward.size(); ++i) {
-    untried.push_back(forward[i]->id);
+  const bool stopped = moved < forward.size();
+  if (stopped) {
+    ++delta->failed;
+    settlement.nacked = {&forward[moved]->id, 1};
+    for (size_t i = moved + 1; i < forward.size(); ++i) {
+      untried.push_back(forward[i]->id);
+    }
+    settlement.released = untried;
   }
-  if (!untried.empty()) {
-    EDADB_RETURN_IF_ERROR(
-        queues_->Release(rule.source_queue, rule.source_group, untried));
-  }
-  return true;
+  EDADB_RETURN_IF_ERROR(
+      queues_->Settle(rule.source_queue, rule.source_group, settlement));
+  return stopped;
 }
 
 Status Propagator::DeliverExternal(const PropagationRule& rule,

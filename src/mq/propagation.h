@@ -92,14 +92,15 @@ struct PropagationRule {
 ///
 /// Messages move in batches of up to kBatchSize: one DequeueBatch, one
 /// EnqueueBatch into a destination queue (an external service gets one
-/// Deliver per message), one AckBatch — three transactions per batch
-/// instead of four per message. When the batch enqueue fails, the batch
-/// is retried message by message so a poisoned message fails alone.
-/// Past the first failing message nothing is tried: the delivered
-/// prefix (and every filter drop) is acked, the failing message is
-/// nacked, so queue redelivery policy and the dead-letter queue apply,
-/// and the rest are released uncharged — exactly what a
-/// message-at-a-time loop would have left behind.
+/// Deliver per message), one Settle — three transactions per batch
+/// instead of four per message, and two to an external service. When
+/// the batch enqueue fails, the batch is retried message by message so
+/// a poisoned message fails alone. Past the first failing message
+/// nothing is tried, and the one Settle acks the delivered prefix (and
+/// every filter drop), nacks the failing message, so queue redelivery
+/// policy and the dead-letter queue apply, and releases the rest
+/// uncharged — exactly what a message-at-a-time loop would have left
+/// behind, in one commit, so no crash leaves a batch half settled.
 ///
 /// Cross-shard handoff: when source and destination queues live on
 /// different shards, the destination enqueue goes through the target
@@ -127,7 +128,7 @@ class Propagator {
 
   EDADB_NODISCARD Result<RuleStats> GetStats(const std::string& name) const;
 
-  /// Messages moved per DequeueBatch/EnqueueBatch/AckBatch round.
+  /// Messages moved per DequeueBatch/EnqueueBatch/Settle round.
   static constexpr size_t kBatchSize = 64;
 
  private:

@@ -141,13 +141,6 @@ std::vector<std::string> EncodeAttributeLists(const EnqueueRequest* requests,
   return encoded;
 }
 
-/// `ids` without repeats, so a batch never stages two ops on one row.
-std::vector<MessageId> Distinct(std::vector<MessageId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
 }  // namespace
 
 std::string QueueManager::MsgTableName(const std::string& queue) {
@@ -432,11 +425,12 @@ Status QueueManager::RemoveConsumerGroup(const std::string& queue,
   // collected.
   auto rt_it = it->second.runtime.find(group);
   if (rt_it != it->second.runtime.end()) {
-    std::vector<MessageId> ids;
+    std::vector<Outcome> outcomes;
+    outcomes.reserve(rt_it->second.deliveries.size());
     for (const auto& [id, deliv] : rt_it->second.deliveries) {
-      ids.push_back(id);
+      outcomes.push_back({id, Outcome::kFinish});
     }
-    EDADB_RETURN_IF_ERROR(FinishDeliveries(&it->second, group, std::move(ids)));
+    EDADB_RETURN_IF_ERROR(SettleLocked(queue, &it->second, group, outcomes));
     it->second.runtime.erase(group);
   }
   return Status::OK();
@@ -530,7 +524,7 @@ Status QueueManager::StageAndCommit(const EnqueueRequest* requests,
                                     const Destination* dests,
                                     size_t num_dests) {
   const WallMicros now = clock_->WallNow();
-  auto txn = db_->BeginTransaction();
+  std::unique_ptr<Transaction> txn = db_->BeginTransaction();
   // Every destination's staged messages, destination after destination.
   std::vector<StagedMessage> staged;
   size_t total = 0;
@@ -604,7 +598,7 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
   const WallMicros now = clock_->WallNow();
   std::vector<StagedMessage> staged;
   staged.reserve(count);
-  auto txn = db_->BeginTransaction();
+  std::unique_ptr<Transaction> txn = db_->BeginTransaction();
   for (size_t i = 0; i < count; ++i) {
     EDADB_RETURN_IF_ERROR(
         txn->Insert(kHandoffTable,
@@ -794,58 +788,136 @@ void QueueManager::Promote(QueueState* state, GroupRuntime* rt,
   }
 }
 
-Status QueueManager::FinishDeliveries(QueueState* state,
-                                      const std::string& group,
-                                      std::vector<MessageId> ids,
-                                      const DeadLetterCopy* copy) {
+Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
+                                  const std::string& group,
+                                  std::span<const Outcome> outcomes,
+                                  TimestampMicros nack_delay_micros) {
+  if (outcomes.empty()) return Status::OK();
   auto rt_it = state->runtime.find(group);
   if (rt_it == state->runtime.end()) {
     return Status::NotFound("no runtime for group '" + group + "'");
   }
   GroupRuntime& rt = rt_it->second;
-  ids = Distinct(std::move(ids));
-  // The message row goes with the last delivery row: `last[i]` is set
-  // when no other group still holds ids[i].
-  std::vector<bool> last(ids.size(), true);
-  auto txn = db_->BeginTransaction();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const MessageId id = ids[i];
+  const QueueTables& tables = state->tables;
+  const TimestampMicros timeout = state->options.visibility_timeout_micros;
+  // Rows store wall-domain times (recovery converts them back); the
+  // runtime schedules their steady-domain twins.
+  const WallMicros wall_now = clock_->WallNow();
+  const WallMicros nack_visible_at = wall_now + nack_delay_micros;
+  // What each staged outcome becomes once the commit applied. `last`:
+  // a finish that deletes the message row too, no other group holding
+  // the message.
+  struct Staged {
+    Outcome::Kind kind;
+    std::map<MessageId, DelivState>::iterator deliv;
+    bool last = false;
+  };
+  std::vector<Staged> staged;
+  staged.reserve(outcomes.size());
+  size_t counts[Outcome::kRelease + 1] = {};
+  // Resolved at the first dead-letter: ShardRouter co-locates a queue
+  // with its DLQ, so the DLQ lives under this mu_ too.
+  std::optional<Result<StagingTarget>> dlq;
+  std::vector<StagedMessage> copies;
+  std::unique_ptr<Transaction> txn = db_->BeginTransaction();
+  for (const Outcome& outcome : outcomes) {
+    const MessageId id = outcome.id;
     auto deliv_it = rt.deliveries.find(id);
     if (deliv_it == rt.deliveries.end()) {
       return Status::NotFound("no delivery of message " + std::to_string(id) +
                               " for group '" + group + "'");
     }
-    EDADB_RETURN_IF_ERROR(
-        txn->DeleteRow(state->tables.dlv_table, deliv_it->second.deliv_row));
-    for (const auto& [name, other_rt] : state->runtime) {
-      if (name != group && other_rt.deliveries.count(id) > 0) {
-        last[i] = false;
-        break;
+    const DelivState& deliv = deliv_it->second;
+    Staged next{outcome.kind, deliv_it};
+    const char* reason = outcome.reason;
+    if (next.kind == Outcome::kNack &&
+        deliv.delivery_count >= state->options.max_deliveries) {
+      next.kind = Outcome::kDeadLetter;
+      reason = "max_deliveries";
+    }
+    if (next.kind == Outcome::kRelease && rt.locked.count(id) == 0) {
+      continue;  // Lock lapsed: already back.
+    }
+    if (next.kind == Outcome::kDeadLetter) {
+      // The copy commits with the finish, so a crash leaves the message
+      // in exactly one of the two queues. With no DLQ, or no message row
+      // to copy, the delivery finishes without a copy.
+      if (!dlq.has_value()) {
+        dlq = ResolveStagingLocked(state->options.dead_letter_queue);
+      }
+      Result<Message> message = dlq->ok() ? LoadMessage(queue, tables, id)
+                                          : Result<Message>(dlq->status());
+      if (message.ok()) {
+        EnqueueRequest request;
+        request.payload = std::move(message->payload);
+        request.attributes = std::move(message->attributes);
+        request.attributes.emplace_back("dlq_reason", Value::String(reason));
+        request.attributes.emplace_back("dlq_source_queue",
+                                        Value::String(queue));
+        request.attributes.emplace_back(
+            "dlq_source_id", Value::Int64(static_cast<int64_t>(id)));
+        request.priority = message->priority;
+        request.correlation_id = std::move(message->correlation_id);
+        std::string attrs;
+        EncodeAttributes(request.attributes, &attrs);
+        EDADB_ASSIGN_OR_RETURN(
+            StagedMessage copy,
+            StageMessage(txn.get(), **dlq, request, attrs, wall_now));
+        copies.push_back(std::move(copy));
       }
     }
-    if (last[i]) {
-      EDADB_RETURN_IF_ERROR(txn->DeleteRow(state->tables.msg_table, id));
+    if (next.kind == Outcome::kFinish || next.kind == Outcome::kDeadLetter) {
+      EDADB_RETURN_IF_ERROR(txn->DeleteRow(tables.dlv_table, deliv.deliv_row));
+      next.last = true;
+      for (const auto& [name, other] : state->runtime) {
+        if (name != group && other.deliveries.count(id) > 0) {
+          next.last = false;
+          break;
+        }
+      }
+      if (next.last) {
+        EDADB_RETURN_IF_ERROR(txn->DeleteRow(tables.msg_table, id));
+      }
+    } else {
+      // A lock charges the attempt, a release takes it back; a nack
+      // keeps it and moves the visibility time.
+      int64_t count = deliv.delivery_count;
+      if (next.kind == Outcome::kLock) ++count;
+      if (next.kind == Outcome::kRelease) {
+        count = std::max<int64_t>(0, count - 1);
+      }
+      EDADB_RETURN_IF_ERROR(txn->UpdateRow(
+          tables.dlv_table, deliv.deliv_row,
+          DeliveryRecord(
+              tables.dlv_schema, group, id,
+              next.kind == Outcome::kNack ? nack_visible_at : deliv.visible_at,
+              next.kind == Outcome::kLock ? wall_now + timeout : WallMicros(),
+              count)));
     }
+    ++counts[next.kind];
+    staged.push_back(next);
   }
-  std::optional<StagedMessage> staged_copy;
-  if (copy != nullptr) {
-    std::string attrs;
-    EncodeAttributes(copy->request.attributes, &attrs);
-    EDADB_ASSIGN_OR_RETURN(staged_copy,
-                           StageMessage(txn.get(), copy->target, copy->request,
-                                        attrs, clock_->WallNow()));
-  }
-  // Nothing durable yet: a crash here redelivers after the timeout.
-  FAILPOINT("mq.finish.before_commit");
-  // A commit that applied but failed its sync deleted the rows too, so
-  // the runtime follows them; it keeps the ids only if nothing applied.
+  if (staged.empty()) return Status::OK();
+  const bool finishes =
+      counts[Outcome::kFinish] + counts[Outcome::kDeadLetter] > 0;
+  const bool wakes = counts[Outcome::kNack] + counts[Outcome::kRelease] > 0;
+  // Nothing durable yet: a crash here loses the whole settlement. Taken
+  // messages were never seen, so they are redelivered with no attempt
+  // counted; settled ones come back after the visibility timeout.
+  if (counts[Outcome::kNack] > 0) FAILPOINT("mq.nack.before_persist");
+  if (counts[Outcome::kLock] > 0) FAILPOINT("mq.dequeue.before_lock_persist");
+  if (finishes) FAILPOINT("mq.finish.before_commit");
+  // A commit that applied but failed its sync wrote the rows too, so the
+  // runtime follows them; it keeps its entries only if nothing applied.
   const Status committed = txn->Commit();
   if (!CommitApplied(committed)) return committed;
   // The rows are gone: a crash from here on must never redeliver.
-  FAILPOINT_HIT("mq.finish.after_commit");
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const MessageId id = ids[i];
-    rt.deliveries.erase(id);
+  if (finishes) FAILPOINT_HIT("mq.finish.after_commit");
+  const SteadyMicros steady_now = clock_->SteadyNow();
+  for (const Staged& done : staged) {
+    const MessageId id = done.deliv->first;
+    DelivState& deliv = done.deliv->second;
+    if (done.kind == Outcome::kLock && !committed.ok()) continue;
     // A live delivery sits in exactly one of locked / ready / delayed.
     if (rt.locked.erase(id) == 0 &&
         rt.ready.erase({-PriorityOf(*state, id), id}) == 0) {
@@ -856,47 +928,42 @@ Status QueueManager::FinishDeliveries(QueueState* state,
         }
       }
     }
-    if (last[i]) state->messages.erase(id);
-  }
-  if (staged_copy.has_value()) {
-    AddStagedLocked(copy->target, {&*staged_copy, 1});
-    enqueue_cv_.SignalAll();
-    EnqueuedCounter()->Add(1);
-    if (shard_enqueues_ != nullptr) shard_enqueues_->Add(1);
-  }
-  return committed;
-}
-
-Status QueueManager::DeadLetter(const std::string& queue, QueueState* state,
-                                const std::string& group, MessageId id,
-                                const std::string& reason) {
-  // The copy commits with the finish, so a crash leaves the message in
-  // exactly one of the two queues. ShardRouter places a queue on its
-  // dead-letter queue's shard, so that queue is resolved here, under
-  // the mu_ already held.
-  std::optional<DeadLetterCopy> copy;
-  Result<StagingTarget> dlq =
-      ResolveStagingLocked(state->options.dead_letter_queue);
-  if (dlq.ok()) {
-    Result<Message> message = LoadMessage(queue, state->tables, id);
-    if (message.ok()) {
-      EnqueueRequest request;
-      request.payload = std::move(message->payload);
-      request.attributes = std::move(message->attributes);
-      request.attributes.emplace_back("dlq_reason", Value::String(reason));
-      request.attributes.emplace_back("dlq_source_queue",
-                                      Value::String(queue));
-      request.attributes.emplace_back(
-          "dlq_source_id", Value::Int64(static_cast<int64_t>(id)));
-      request.priority = message->priority;
-      request.correlation_id = std::move(message->correlation_id);
-      copy = DeadLetterCopy{*std::move(dlq), std::move(request)};
+    switch (done.kind) {
+      case Outcome::kLock:
+        ++deliv.delivery_count;
+        rt.locked[id] = steady_now + timeout;
+        break;
+      case Outcome::kNack:
+        deliv.visible_at = nack_visible_at;
+        if (nack_delay_micros > 0) {
+          rt.delayed.emplace(steady_now + nack_delay_micros, id);
+        } else {
+          rt.ready.emplace(-PriorityOf(*state, id), id);
+        }
+        break;
+      case Outcome::kRelease:
+        deliv.delivery_count = std::max<int64_t>(0, deliv.delivery_count - 1);
+        rt.ready.emplace(-PriorityOf(*state, id), id);
+        break;
+      case Outcome::kFinish:
+      case Outcome::kDeadLetter:
+        rt.deliveries.erase(done.deliv);
+        if (done.last) state->messages.erase(id);
+        break;
     }
   }
-  const Status finished =
-      FinishDeliveries(state, group, {id}, copy ? &*copy : nullptr);
-  if (CommitApplied(finished)) DeadLetterCounter()->Add(1);
-  return finished;
+  if (counts[Outcome::kNack] > 0) NackCounter()->Add(counts[Outcome::kNack]);
+  if (counts[Outcome::kDeadLetter] > 0) {
+    DeadLetterCounter()->Add(counts[Outcome::kDeadLetter]);
+  }
+  if (!copies.empty()) {
+    AddStagedLocked(**dlq, copies);  // Bumps the activity sequence.
+    EnqueuedCounter()->Add(copies.size());
+    if (shard_enqueues_ != nullptr) shard_enqueues_->Add(copies.size());
+  }
+  if (wakes) BumpActivityLocked();
+  if (wakes || !copies.empty()) enqueue_cv_.SignalAll();
+  return committed;
 }
 
 Result<std::vector<Message>> QueueManager::DequeueBatch(
@@ -916,35 +983,30 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
   // Wall time decides data questions (TTL expiry, persisted rows);
   // steady time decides deadlines (lock promotion and new locks).
   const WallMicros wall_now = clock_->WallNow();
-  const SteadyMicros steady_now = clock_->SteadyNow();
-  Promote(&state, &rt, steady_now);
+  Promote(&state, &rt, clock_->SteadyNow());
 
-  // Walk the ready set in place, in dequeue order. Dead-lettering
-  // erases the entry under the cursor, so the cursor steps past it
-  // first; nothing else this loop calls erases ready entries.
-  std::vector<std::pair<std::pair<int64_t, MessageId>, DelivState*>> picked;
+  // Walk the ready set in place, in dequeue order. Nothing the walk
+  // decides moves until SettleLocked commits it: the taken messages and
+  // every expired or spent one passed on the way, in ONE transaction.
+  const Outcome::Kind take = request.remove ? Outcome::kFinish : Outcome::kLock;
+  std::vector<Outcome> outcomes;
   for (auto ready_it = rt.ready.begin();
        ready_it != rt.ready.end() && out.size() < max_messages;) {
-    const std::pair<int64_t, MessageId> key = *ready_it;
-    const MessageId id = key.second;
+    const MessageId id = ready_it->second;
     auto meta_it = state.messages.find(id);
     auto deliv_it = rt.deliveries.find(id);
     if (meta_it == state.messages.end() || deliv_it == rt.deliveries.end()) {
       ready_it = rt.ready.erase(ready_it);
       continue;
     }
-    const WallMicros expires_at = meta_it->second.expires_at;
-    const char* dead_reason = nullptr;
-    if (expires_at.micros() != 0 && expires_at <= wall_now) {
-      dead_reason = "expired";
-    } else if (deliv_it->second.delivery_count >=
-               state.options.max_deliveries) {
-      dead_reason = "max_deliveries";
-    }
     ++ready_it;
-    if (dead_reason != nullptr) {
-      EDADB_RETURN_IF_ERROR(
-          DeadLetter(queue, &state, request.group, id, dead_reason));
+    const WallMicros expires_at = meta_it->second.expires_at;
+    if (expires_at.micros() != 0 && expires_at <= wall_now) {
+      outcomes.push_back({id, Outcome::kDeadLetter, "expired"});
+      continue;
+    }
+    if (deliv_it->second.delivery_count >= state.options.max_deliveries) {
+      outcomes.push_back({id, Outcome::kDeadLetter, "max_deliveries"});
       continue;
     }
     EDADB_ASSIGN_OR_RETURN(Message message,
@@ -954,55 +1016,20 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
       if (!request.selector->MatchesOrFalse(view)) continue;
     }
     message.delivery_count = deliv_it->second.delivery_count + 1;
-    picked.emplace_back(key, &deliv_it->second);
+    outcomes.push_back({id, take});
     out.push_back(std::move(message));
   }
+  // A lock commit that failed, DurabilityUnknown included, hands the
+  // caller nothing: the messages stay ready, uncharged. A REMOVE-mode
+  // commit that applied consumed them, so they are returned.
+  const Status settled =
+      SettleLocked(queue, &state, request.group, outcomes);
+  if (request.remove ? !CommitApplied(settled) : !settled.ok()) {
+    return settled;
+  }
   if (out.empty()) return out;
-
-  if (request.remove) {
-    // REMOVE mode: the dequeue is the consumption. Both rows go in one
-    // transaction, and the runtime follows only an applied commit, so
-    // on any other error the messages stay ready, uncharged.
-    std::vector<MessageId> ids;
-    ids.reserve(out.size());
-    for (const Message& message : out) ids.push_back(message.id);
-    const Status finished =
-        FinishDeliveries(&state, request.group, std::move(ids));
-    if (!CommitApplied(finished)) return finished;
-    DequeuedCounter()->Add(out.size());
-    AckCounter()->Add(out.size());
-    if (shard_dequeues_ != nullptr) shard_dequeues_->Add(out.size());
-    return out;
-  }
-
-  // Lock every taken message for this group in one transaction. The
-  // rows store the wall-domain deadline (recovery converts it back);
-  // the runtime locks are its steady-domain twin.
-  const WallMicros locked_until_wall =
-      wall_now + state.options.visibility_timeout_micros;
-  auto txn = db_->BeginTransaction();
-  for (size_t i = 0; i < out.size(); ++i) {
-    const DelivState& deliv = *picked[i].second;
-    EDADB_RETURN_IF_ERROR(txn->UpdateRow(
-        state.tables.dlv_table, deliv.deliv_row,
-        DeliveryRecord(state.tables.dlv_schema, request.group, out[i].id,
-                       deliv.visible_at, locked_until_wall,
-                       out[i].delivery_count)));
-  }
-  // A crash before the locks persist means the consumer never saw the
-  // messages: they must be redelivered, with no attempt counted. On any
-  // commit error, DurabilityUnknown included, the caller never sees
-  // them either, so they stay ready and the next dequeue rewrites
-  // their rows.
-  FAILPOINT("mq.dequeue.before_lock_persist");
-  EDADB_RETURN_IF_ERROR(txn->Commit());
-  for (size_t i = 0; i < out.size(); ++i) {
-    rt.ready.erase(picked[i].first);
-    rt.locked[out[i].id] =
-        steady_now + state.options.visibility_timeout_micros;
-    picked[i].second->delivery_count = out[i].delivery_count;
-  }
   DequeuedCounter()->Add(out.size());
+  if (request.remove) AckCounter()->Add(out.size());
   if (shard_dequeues_ != nullptr) shard_dequeues_->Add(out.size());
   return out;
 }
@@ -1074,103 +1101,51 @@ void QueueManager::Shutdown() {
   enqueue_cv_.SignalAll();
 }
 
-Status QueueManager::AckBatch(const std::string& queue,
-                              const std::string& group,
-                              const std::vector<MessageId>& ids) {
-  metrics::LatencyScope latency(AckLatency());
+Status QueueManager::Settle(const std::string& queue, const std::string& group,
+                            const Settlement& settlement) {
+  metrics::LatencyScope latency(settlement.acked.empty() ? nullptr
+                                                         : AckLatency());
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(settlement.acked.size() + settlement.nacked.size() +
+                   settlement.released.size());
+  for (const MessageId id : settlement.acked) {
+    outcomes.push_back({id, Outcome::kFinish});
+  }
+  for (const MessageId id : settlement.nacked) {
+    outcomes.push_back({id, Outcome::kNack});
+  }
+  for (const MessageId id : settlement.released) {
+    outcomes.push_back({id, Outcome::kRelease});
+  }
+  // One outcome per id, so no transaction stages two ops on one row.
+  std::sort(outcomes.begin(), outcomes.end(),
+            [](const Outcome& a, const Outcome& b) {
+              return a.id != b.id ? a.id < b.id : a.kind < b.kind;
+            });
+  for (size_t i = 1; i < outcomes.size(); ++i) {
+    if (outcomes[i].id == outcomes[i - 1].id &&
+        outcomes[i].kind != outcomes[i - 1].kind) {
+      return Status::InvalidArgument("message " +
+                                     std::to_string(outcomes[i].id) +
+                                     " is settled two ways");
+    }
+  }
+  outcomes.erase(std::unique(outcomes.begin(), outcomes.end(),
+                             [](const Outcome& a, const Outcome& b) {
+                               return a.id == b.id;
+                             }),
+                 outcomes.end());
   MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-  if (ids.empty()) return Status::OK();
+  if (outcomes.empty()) return Status::OK();
   // Nothing persisted yet: a crash here loses the ack, and the message
   // must be redelivered after the visibility timeout (at-least-once).
-  FAILPOINT("mq.ack.before_finish");
-  EDADB_RETURN_IF_ERROR(FinishDeliveries(&it->second, group, ids));
-  AckCounter()->Add(ids.size());
-  return Status::OK();
-}
-
-Status QueueManager::Nack(const std::string& queue, const std::string& group,
-                          MessageId id,
-                          TimestampMicros redeliver_delay_micros) {
-  MutexLock lock(&mu_);
-  auto it = queues_.find(queue);
-  if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-  QueueState& state = it->second;
-  auto rt_it = state.runtime.find(group);
-  if (rt_it == state.runtime.end()) {
-    return Status::NotFound("no runtime for group '" + group + "'");
-  }
-  GroupRuntime& rt = rt_it->second;
-  auto deliv_it = rt.deliveries.find(id);
-  if (deliv_it == rt.deliveries.end()) {
-    return Status::NotFound("no delivery of message " + std::to_string(id));
-  }
-  DelivState& deliv = deliv_it->second;
-  if (deliv.delivery_count >= state.options.max_deliveries) {
-    return DeadLetter(queue, &state, group, id, "max_deliveries");
-  }
-  FAILPOINT("mq.nack.before_persist");
-  // Persist the redelivery time as wall; schedule it in steady.
-  const WallMicros visible_at = clock_->WallNow() + redeliver_delay_micros;
-  const Status updated = db_->UpdateRow(
-      state.tables.dlv_table, deliv.deliv_row,
-      DeliveryRecord(state.tables.dlv_schema, group, id, visible_at,
-                     WallMicros(), deliv.delivery_count));
-  if (!CommitApplied(updated)) return updated;
-  deliv.visible_at = visible_at;
-  rt.locked.erase(id);
-  if (redeliver_delay_micros > 0) {
-    rt.delayed.emplace(clock_->SteadyNow() + redeliver_delay_micros, id);
-  } else {
-    rt.ready.emplace(-PriorityOf(state, id), id);
-  }
-  NackCounter()->Add(1);
-  BumpActivityLocked();
-  enqueue_cv_.SignalAll();
-  return updated;
-}
-
-Status QueueManager::Release(const std::string& queue,
-                             const std::string& group,
-                             const std::vector<MessageId>& ids) {
-  MutexLock lock(&mu_);
-  auto it = queues_.find(queue);
-  if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-  QueueState& state = it->second;
-  auto rt_it = state.runtime.find(group);
-  if (rt_it == state.runtime.end()) {
-    if (ids.empty()) return Status::OK();
-    return Status::NotFound("no runtime for group '" + group + "'");
-  }
-  GroupRuntime& rt = rt_it->second;
-  std::vector<std::pair<MessageId, DelivState*>> held;
-  auto txn = db_->BeginTransaction();
-  for (const MessageId id : Distinct(ids)) {
-    auto deliv_it = rt.deliveries.find(id);
-    if (deliv_it == rt.deliveries.end()) {
-      return Status::NotFound("no delivery of message " + std::to_string(id));
-    }
-    if (rt.locked.count(id) == 0) continue;  // Lock lapsed: already back.
-    DelivState& deliv = deliv_it->second;
-    EDADB_RETURN_IF_ERROR(txn->UpdateRow(
-        state.tables.dlv_table, deliv.deliv_row,
-        DeliveryRecord(state.tables.dlv_schema, group, id, deliv.visible_at,
-                       WallMicros(),
-                       std::max<int64_t>(0, deliv.delivery_count - 1))));
-    held.emplace_back(id, &deliv);
-  }
-  if (held.empty()) return Status::OK();
-  const Status committed = txn->Commit();
-  if (!CommitApplied(committed)) return committed;
-  for (const auto& [id, deliv] : held) {
-    deliv->delivery_count = std::max<int64_t>(0, deliv->delivery_count - 1);
-    rt.locked.erase(id);
-    rt.ready.emplace(-PriorityOf(state, id), id);
-  }
-  BumpActivityLocked();
-  enqueue_cv_.SignalAll();
-  return committed;
+  if (!settlement.acked.empty()) FAILPOINT("mq.ack.before_finish");
+  const Status settled = SettleLocked(queue, &it->second, group, outcomes,
+                                      settlement.redeliver_delay_micros);
+  if (CommitApplied(settled)) AckCounter()->Add(settlement.acked.size());
+  return settled;
 }
 
 Result<size_t> QueueManager::Depth(const std::string& queue,
@@ -1204,26 +1179,21 @@ Result<size_t> QueueManager::PurgeExpired(const std::string& queue) {
       expired.push_back(id);
     }
   }
-  size_t purged = 0;
-  for (const MessageId id : expired) {
-    // Dead-letter once, then drop every group's delivery.
-    bool first = true;
-    std::vector<std::string> holding;
-    for (const auto& [group, rt] : state.runtime) {
-      if (rt.deliveries.count(id) > 0) holding.push_back(group);
+  // The first group holding a message dead-letters it and the others
+  // finish it: one transaction per group.
+  std::set<MessageId> copied;
+  for (const auto& [group, rt] : state.runtime) {
+    std::vector<Outcome> outcomes;
+    for (const MessageId id : expired) {
+      if (rt.deliveries.count(id) == 0) continue;
+      outcomes.push_back({id,
+                          copied.insert(id).second ? Outcome::kDeadLetter
+                                                   : Outcome::kFinish,
+                          "expired"});
     }
-    for (const std::string& group : holding) {
-      if (first) {
-        EDADB_RETURN_IF_ERROR(
-            DeadLetter(queue, &state, group, id, "expired"));
-        first = false;
-      } else {
-        EDADB_RETURN_IF_ERROR(FinishDeliveries(&state, group, {id}));
-      }
-    }
-    if (!holding.empty()) ++purged;
+    EDADB_RETURN_IF_ERROR(SettleLocked(queue, &state, group, outcomes));
   }
-  return purged;
+  return copied.size();
 }
 
 Status QueueManager::Browse(

@@ -31,9 +31,9 @@ namespace edadb {
 /// timeouts; redelivery increments delivery_count; after
 /// max_deliveries the message moves to the dead-letter queue.
 ///
-/// Thread-safe. Dequeue/Ack/Nack/Release serialize on an internal
-/// mutex; enqueues stage and commit without it, then take it briefly to
-/// add what their commit applied to the runtime and wake blocked
+/// Thread-safe. Dequeues and settles serialize on an internal mutex;
+/// enqueues stage and commit without it, then take it briefly to add
+/// what their commit applied to the runtime and wake blocked
 /// DequeueWait() callers. Each call is at most one transaction on the
 /// happy path, whatever its batch size. The in-memory runtime follows
 /// the manager's own applied commits; queue tables carry no triggers.
@@ -99,21 +99,21 @@ class QueueManager : public QueueService {
   /// under one runtime lock, walking the ready set in place (a
   /// one-at-a-time drain costs O(log depth) per message, not
   /// O(depth)). Every taken message is locked for the visibility
-  /// timeout, and all the locks persist in ONE transaction; the
+  /// timeout. The locks persist in ONE transaction, together with the
+  /// dead-lettering of every expired or spent message the walk met; the
   /// in-memory runtime moves only after it commits, so a failed or
   /// crashed commit leaves the messages deliverable with their delivery
-  /// counts unchanged. Acks, nacks and releases stay per message, so a
-  /// consumer can ack some of a batch, nack one and release the rest.
-  /// Fewer than `max_messages` (possibly zero) are returned when the
-  /// queue runs dry.
+  /// counts unchanged. One Settle can then ack some of a batch, nack one
+  /// and release the rest. Fewer than `max_messages` (possibly zero) are
+  /// returned when the queue runs dry.
   ///
   /// With `request.remove` (AQ's REMOVE mode) nothing is locked: the
   /// taken messages' delivery rows, and each message row no other group
-  /// holds, are deleted in ONE transaction (FinishDeliveries), and no
-  /// ack follows. Once that commit applied (OK or DurabilityUnknown) the
-  /// messages are returned and never delivered to the group again; on
-  /// any other error they stay ready and no delivery is charged. Taken
-  /// messages count as both dequeued and acked.
+  /// holds, are deleted in that ONE transaction, and no settle follows.
+  /// Once that commit applied (OK or DurabilityUnknown) the messages are
+  /// returned and never delivered to the group again; on any other error
+  /// they stay ready and no delivery is charged. Taken messages count as
+  /// both dequeued and acked.
   EDADB_NODISCARD Result<std::vector<Message>> DequeueBatch(
       const std::string& queue, const DequeueRequest& request,
       size_t max_messages) override;
@@ -152,31 +152,19 @@ class QueueManager : public QueueService {
   /// operations keep working (drain-then-stop shutdowns).
   void Shutdown() override;
 
-  /// Completes consumption (QueueService::Ack is the one-id form). One
-  /// transaction deletes each delivery row together with the message
-  /// row once no group still holds it, so no crash can leave a fully
-  /// acked message body behind.
-  EDADB_NODISCARD Status AckBatch(const std::string& queue,
-                                  const std::string& group,
-                                  const std::vector<MessageId>& ids) override;
-
-  /// See QueueService::Release.
-  EDADB_NODISCARD Status Release(const std::string& queue,
-                                 const std::string& group,
-                                 const std::vector<MessageId>& ids) override;
-
-  /// Returns the message to the queue after `redeliver_delay_micros`
-  /// (dead-letters it if max_deliveries is exhausted).
-  EDADB_NODISCARD Status Nack(const std::string& queue,
-              const std::string& group, MessageId id,
-              TimestampMicros redeliver_delay_micros = 0) override;
+  /// One SettleLocked transaction (contract: QueueService::Settle), so
+  /// no crash can leave a fully acked message body behind.
+  EDADB_NODISCARD Status Settle(const std::string& queue,
+                                const std::string& group,
+                                const Settlement& settlement) override;
 
   /// Ready (visible, unlocked) messages for `group`.
   EDADB_NODISCARD Result<size_t> Depth(const std::string& queue,
                        const std::string& group) const override;
 
   /// Removes expired messages; returns how many were purged (moved to
-  /// the dead-letter queue when configured).
+  /// the dead-letter queue when configured), in one transaction per
+  /// group.
   EDADB_NODISCARD Result<size_t> PurgeExpired(const std::string& queue) override;
 
   /// Reads a staged message without consuming it.
@@ -276,10 +264,14 @@ class QueueManager : public QueueService {
     std::vector<RowId> deliv_rows;
   };
 
-  /// A dead-lettered message's copy and the queue it goes to.
-  struct DeadLetterCopy {
-    StagingTarget target;
-    EnqueueRequest request;
+  /// What SettleLocked does with one of a group's deliveries. A
+  /// dead-letter finishes it and copies the message into the DLQ, with
+  /// `reason` as the copy's dlq_reason.
+  struct Outcome {
+    enum Kind : uint8_t { kLock, kFinish, kDeadLetter, kNack, kRelease };
+    MessageId id = 0;
+    Kind kind = kFinish;
+    const char* reason = "max_deliveries";
   };
 
   /// One queue of a staging transaction, the index of its fan-out
@@ -368,20 +360,20 @@ class QueueManager : public QueueService {
     activity_seq_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Finishes this group's delivery, staging the message's copy into
-  /// the dead-letter queue in the same transaction when that queue
-  /// exists and the message row loads; otherwise without a copy.
-  EDADB_NODISCARD Status DeadLetter(const std::string& queue, QueueState* state,
-                    const std::string& group, MessageId id,
-                    const std::string& reason) EDADB_REQUIRES(mu_);
-
-  /// Deletes `group`'s delivery rows for `ids` in one transaction, with
-  /// the message row of each message no other group still holds, and
-  /// stages `copy` (when not null) in that transaction too. The runtime
-  /// follows only after the commit applied.
-  EDADB_NODISCARD Status FinishDeliveries(
-      QueueState* state, const std::string& group, std::vector<MessageId> ids,
-      const DeadLetterCopy* copy = nullptr) EDADB_REQUIRES(mu_);
+  /// The one writer of delivery rows and runtime entries: stages every
+  /// outcome (distinct ids of `group`) in ONE transaction, all or
+  /// nothing, and returns the commit's status. A nack that has spent
+  /// max_deliveries dead-letters; a release whose lock lapsed is
+  /// skipped. Once the commit applied, each id leaves whichever of
+  /// ready, locked and delayed holds it and goes where its outcome puts
+  /// it; locks move only on OK, since a dequeue that failed hands its
+  /// caller nothing.
+  EDADB_NODISCARD Status SettleLocked(const std::string& queue,
+                                      QueueState* state,
+                                      const std::string& group,
+                                      std::span<const Outcome> outcomes,
+                                      TimestampMicros nack_delay_micros = 0)
+      EDADB_REQUIRES(mu_);
 
   Database* const db_;
   Clock* const clock_;

@@ -59,6 +59,20 @@ struct FanoutTarget {
   std::vector<size_t> requests;
 };
 
+/// What a consumer group did with messages it dequeued, settled by one
+/// QueueService::Settle: AMQP 1.0's accepted (`acked`), modified
+/// (`nacked`) and released outcomes. The spans must outlive the call.
+struct Settlement {
+  /// Consumed.
+  std::span<const MessageId> acked{};
+  /// Failed: visible again after the delay, the attempt still charged.
+  std::span<const MessageId> nacked{};
+  TimestampMicros redeliver_delay_micros = 0;
+  /// Never tried: unlocked as if the dequeue never happened, the attempt
+  /// taken back. Ids whose lock already lapsed are skipped.
+  std::span<const MessageId> released{};
+};
+
 /// The staging-area surface shared by the single-domain QueueManager and
 /// the sharded ShardRouter. Producers and consumers (the broker, the
 /// propagator, responders, application code) program against this
@@ -74,7 +88,8 @@ struct FanoutTarget {
 /// The single-item calls are non-virtual wrappers over their batch
 /// forms, so each has one implementation per service: Enqueue and
 /// EnqueueBatch over EnqueueFanout, EnqueueDedup over EnqueueDedupBatch,
-/// Dequeue over DequeueBatch, Ack over AckBatch.
+/// Dequeue over DequeueBatch, and Ack, AckBatch, Nack and Release over
+/// Settle.
 class QueueService {
  public:
   virtual ~QueueService() = default;
@@ -154,7 +169,7 @@ class QueueService {
   }
 
   /// Takes up to `max_messages` deliverable messages in dequeue order
-  /// and locks them for a later ack/nack/release, or, with
+  /// and locks them until the group settles them (Settle), or, with
   /// `request.remove`, consumes them at once: see
   /// QueueManager::DequeueBatch.
   EDADB_NODISCARD virtual Result<std::vector<Message>> DequeueBatch(
@@ -174,35 +189,43 @@ class QueueService {
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) = 0;
 
-  /// Completes `group`'s consumption of every id in ONE transaction:
-  /// each delivery row is deleted, and so is the message row of every
-  /// message no other group still holds. All-or-nothing: an id the
-  /// group holds no delivery of fails the call before anything is
-  /// written. DurabilityUnknown (the WAL sync failed) still completed
-  /// the ack in this process: the messages are not redelivered.
-  EDADB_NODISCARD virtual Status AckBatch(
-      const std::string& queue, const std::string& group,
-      const std::vector<MessageId>& ids) = 0;
+  /// The one settle path: applies every outcome of `settlement` for
+  /// `group` in ONE transaction, all or nothing. An ack deletes the
+  /// delivery row, and the message row once no other group holds the
+  /// message; a nack that has spent max_deliveries dead-letters the
+  /// message in that transaction. An unknown queue is NotFound and an
+  /// empty settlement OK. An id the group holds no delivery of fails the
+  /// call NotFound before anything is written; repeats within one list
+  /// collapse, and an id listed under two outcomes is InvalidArgument.
+  /// DurabilityUnknown (the WAL sync failed) still settled the ids in
+  /// this process: an acked message is not redelivered.
+  EDADB_NODISCARD virtual Status Settle(const std::string& queue,
+                                        const std::string& group,
+                                        const Settlement& settlement) = 0;
 
-  /// AckBatch of one id.
+  /// One-outcome Settles. A batch consumer that stops at a failing
+  /// message nacks it and releases the ones after it, never tried.
+  EDADB_NODISCARD Status AckBatch(const std::string& queue,
+                                  const std::string& group,
+                                  const std::vector<MessageId>& ids) {
+    return Settle(queue, group, {.acked = ids});
+  }
   EDADB_NODISCARD Status Ack(const std::string& queue,
                              const std::string& group, MessageId id) {
-    return AckBatch(queue, group, {id});
+    return Settle(queue, group, {.acked = {&id, 1}});
   }
-
-  /// Hands dequeued messages back as if the dequeue never happened, in
-  /// ONE transaction: each lock is dropped and the delivery attempt the
-  /// dequeue counted is taken back, so max_deliveries is not charged. A
-  /// batch consumer that stops at a failing message releases the ones
-  /// after it, which it never tried. Ids whose lock already lapsed are
-  /// skipped.
-  EDADB_NODISCARD virtual Status Release(
-      const std::string& queue, const std::string& group,
-      const std::vector<MessageId>& ids) = 0;
-
-  EDADB_NODISCARD virtual Status Nack(
-      const std::string& queue, const std::string& group, MessageId id,
-      TimestampMicros redeliver_delay_micros = 0) = 0;
+  EDADB_NODISCARD Status Release(const std::string& queue,
+                                 const std::string& group,
+                                 const std::vector<MessageId>& ids) {
+    return Settle(queue, group, {.released = ids});
+  }
+  EDADB_NODISCARD Status Nack(const std::string& queue,
+                              const std::string& group, MessageId id,
+                              TimestampMicros redeliver_delay_micros = 0) {
+    return Settle(queue, group,
+                  {.nacked = {&id, 1},
+                   .redeliver_delay_micros = redeliver_delay_micros});
+  }
 
   EDADB_NODISCARD virtual Result<size_t> Depth(
       const std::string& queue, const std::string& group) const = 0;

@@ -139,7 +139,7 @@ Result<MessageId> ShardRouter::UntagId(size_t shard, MessageId id) const {
 }
 
 Result<std::vector<MessageId>> ShardRouter::UntagIds(
-    size_t shard, const std::vector<MessageId>& ids) const {
+    size_t shard, std::span<const MessageId> ids) const {
   std::vector<MessageId> raw;
   raw.reserve(ids.size());
   for (const MessageId id : ids) {
@@ -291,28 +291,18 @@ Result<std::optional<Message>> ShardRouter::DequeueWait(
   return message;
 }
 
-Status ShardRouter::AckBatch(const std::string& queue,
-                             const std::string& group,
-                             const std::vector<MessageId>& ids) {
+Status ShardRouter::Settle(const std::string& queue, const std::string& group,
+                           const Settlement& settlement) {
   const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(std::vector<MessageId> raw, UntagIds(shard, ids));
-  return shards_[shard].queues->AckBatch(queue, group, raw);
-}
-
-Status ShardRouter::Release(const std::string& queue, const std::string& group,
-                            const std::vector<MessageId>& ids) {
-  const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(std::vector<MessageId> raw, UntagIds(shard, ids));
-  return shards_[shard].queues->Release(queue, group, raw);
-}
-
-Status ShardRouter::Nack(const std::string& queue, const std::string& group,
-                         MessageId id,
-                         TimestampMicros redeliver_delay_micros) {
-  const size_t shard = ShardOf(queue);
-  EDADB_ASSIGN_OR_RETURN(MessageId raw, UntagId(shard, id));
-  return shards_[shard].queues->Nack(queue, group, raw,
-                                     redeliver_delay_micros);
+  EDADB_ASSIGN_OR_RETURN(const std::vector<MessageId> acked,
+                         UntagIds(shard, settlement.acked));
+  EDADB_ASSIGN_OR_RETURN(const std::vector<MessageId> nacked,
+                         UntagIds(shard, settlement.nacked));
+  EDADB_ASSIGN_OR_RETURN(const std::vector<MessageId> released,
+                         UntagIds(shard, settlement.released));
+  return shards_[shard].queues->Settle(
+      queue, group,
+      {acked, nacked, settlement.redeliver_delay_micros, released});
 }
 
 Result<size_t> ShardRouter::Depth(const std::string& queue,

@@ -36,7 +36,7 @@ namespace edadb {
 ///
 /// Id scheme (N > 1): MessageIds returned by the router carry the
 /// owning shard in the top 16 bits — id = (shard+1) << 48 | row_id —
-/// so an id alone names its commit pipeline. Ack/Nack/Peek accept
+/// so an id alone names its commit pipeline. Settle and Peek accept
 /// tagged ids (verified against the queue's shard) and raw row ids
 /// (trusted to the queue's shard: per-shard dispatcher handlers see
 /// raw ids).
@@ -91,16 +91,10 @@ class ShardRouter : public QueueService {
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) override;
 
-  EDADB_NODISCARD Status AckBatch(const std::string& queue,
-                                  const std::string& group,
-                                  const std::vector<MessageId>& ids) override;
-  EDADB_NODISCARD Status Release(const std::string& queue,
-                                 const std::string& group,
-                                 const std::vector<MessageId>& ids) override;
-  EDADB_NODISCARD Status Nack(const std::string& queue,
-                              const std::string& group, MessageId id,
-                              TimestampMicros redeliver_delay_micros = 0)
-      override;
+  /// Untags the three id lists and settles them on the queue's shard.
+  EDADB_NODISCARD Status Settle(const std::string& queue,
+                                const std::string& group,
+                                const Settlement& settlement) override;
 
   EDADB_NODISCARD Result<size_t> Depth(const std::string& queue,
                                        const std::string& group) const override;
@@ -136,7 +130,7 @@ class ShardRouter : public QueueService {
   MessageId TagId(size_t shard, MessageId raw) const;
   EDADB_NODISCARD Result<MessageId> UntagId(size_t shard, MessageId id) const;
   EDADB_NODISCARD Result<std::vector<MessageId>> UntagIds(
-      size_t shard, const std::vector<MessageId>& ids) const;
+      size_t shard, std::span<const MessageId> ids) const;
 
  private:
   explicit ShardRouter(Database* primary);

@@ -332,6 +332,13 @@ Result<std::string> Broker::Subscribe(SubscriptionSpec spec) {
 }
 
 Status Broker::Unsubscribe(const std::string& subscription_id) {
+  // The row goes first (a non-durable subscription has none), and the
+  // subscription leaves memory only once that commit applied: a failed
+  // delete leaves it live, as a reopen would find it.
+  const Predicate match = Predicate::ColumnsEqual(
+      {{"sub_id", Value::String(subscription_id)}});
+  const Status deleted = db_->DeleteWhere(kSubsTable, match).status();
+  if (!CommitApplied(deleted)) return deleted;
   bool durable = false;
   {
     MutexLock lock(&mu_);
@@ -350,13 +357,10 @@ Status Broker::Unsubscribe(const std::string& subscription_id) {
     subscriptions_.erase(it);
   }
   if (durable) {
-    const Predicate match = Predicate::ColumnsEqual(
-        {{"sub_id", Value::String(subscription_id)}});
-    EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kSubsTable, match).status());
     const Status drop = queues_->DropQueue(SubQueueName(subscription_id));
     if (!drop.ok() && !drop.IsNotFound()) return drop;
   }
-  return Status::OK();
+  return deleted;
 }
 
 Status Broker::DeliverTo(const SubscriptionState& sub,
@@ -398,22 +402,35 @@ Result<size_t> Broker::PublishSpan(const Publication* pubs, size_t count) {
   ring_->PublishBatch(pubs, count);
   RingPublishedCounter()->Add(count);
 
-  // Retained-value bookkeeping per publication (cold path).
+  // Retained-value bookkeeping per publication (cold path). One commit
+  // replaces a topic's value: the update of its row, or the insert of
+  // its first. An insert that loses to a concurrent first insert (the
+  // unique index on topic refuses it) updates the winner's row instead.
   for (size_t i = 0; i < count; ++i) {
     const Publication& pub = pubs[i];
     if (!pub.retain) continue;
     const Predicate match =
         Predicate::ColumnsEqual({{"topic", Value::String(pub.topic)}});
-    EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kRetainedTable, match).status());
-    EDADB_ASSIGN_OR_RETURN(Table * retained, db_->GetTable(kRetainedTable));
     std::string attrs;
     EncodeAttributes(pub.attributes, &attrs);
+    const auto replace = [&]() -> Result<size_t> {
+      return db_->UpdateWhere(kRetainedTable, match, [&](Record* row) {
+        EDADB_RETURN_IF_ERROR(row->Set("attrs", Value::String(attrs)));
+        return row->Set("payload", Value::String(pub.payload));
+      });
+    };
+    EDADB_ASSIGN_OR_RETURN(const size_t replaced, replace());
+    if (replaced > 0) continue;
+    EDADB_ASSIGN_OR_RETURN(Table * retained, db_->GetTable(kRetainedTable));
     Record row = *RecordBuilder(retained->schema())
                       .SetString("topic", pub.topic)
-                      .SetString("attrs", std::move(attrs))
+                      .SetString("attrs", attrs)
                       .SetString("payload", pub.payload)
                       .Build();
-    EDADB_RETURN_IF_ERROR(db_->Insert(kRetainedTable, std::move(row)).status());
+    const Status inserted =
+        db_->Insert(kRetainedTable, std::move(row)).status();
+    EDADB_RETURN_IF_ERROR(inserted.IsAlreadyExists() ? replace().status()
+                                                     : inserted);
   }
 
   // Match the whole batch under ONE lock; deliveries happen outside it.

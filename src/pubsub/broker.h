@@ -162,6 +162,9 @@ class Broker {
   /// Returns the subscription id.
   EDADB_NODISCARD Result<std::string> Subscribe(SubscriptionSpec spec);
 
+  /// A durable subscription's row is deleted first; the subscription
+  /// stops matching and its queue is dropped only once that commit
+  /// applied, so a failed Unsubscribe leaves it as a reopen finds it.
   EDADB_NODISCARD Status Unsubscribe(const std::string& subscription_id);
 
   /// Attaches a live poll-based cursor to the broadcast ring, starting

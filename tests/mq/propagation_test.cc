@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "mq/queue_manager.h"
 #include "mq/shard_router.h"
 #include "gtest/gtest.h"
@@ -304,8 +305,13 @@ TEST_F(PropagationTest, MidBatchFailureChargesOnlyWhatWasTried) {
   for (int i = 0; i < 6; ++i) requests.push_back(Req("m" + std::to_string(i)));
   ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
 
-  // m0..m2 arrive, m3 fails, m4 and m5 are never tried.
+  // m0..m2 arrive, m3 fails, m4 and m5 are never tried. The batch costs
+  // its lock commit and one settle commit.
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  const uint64_t commits_before = commits->Value();
   EXPECT_EQ(*propagator_->RunOnce(), 3u);
+  EXPECT_EQ(commits->Value() - commits_before, 2u);
   auto stats = *propagator_->GetStats("to_gateway");
   EXPECT_EQ(stats.forwarded, 3u);
   EXPECT_EQ(stats.failed, 1u);

@@ -1,6 +1,6 @@
-// EnqueueBatch / DequeueBatch / EnqueueFanout coverage: id assignment,
-// all-or-nothing atomicity, max_messages bounds, per-target fan-out
-// outcomes, and equivalence with the single-shot wrappers.
+// EnqueueBatch / DequeueBatch / EnqueueFanout / Settle coverage: id
+// assignment, all-or-nothing atomicity, max_messages bounds, per-target
+// fan-out outcomes, and equivalence with the single-shot wrappers.
 
 #include "mq/queue_manager.h"
 
@@ -119,6 +119,62 @@ TEST_F(QueueBatchTest, FanoutStagesEveryTargetInOneTransaction) {
     return true;
   }));
   EXPECT_EQ(q2, (std::vector<std::string>{"b", "c"}));
+}
+
+// One Settle acks, nacks and releases a locked batch in one
+// transaction, all or nothing.
+TEST_F(QueueBatchTest, SettleIsOneTransaction) {
+  const std::vector<MessageId> ids = *queues_->EnqueueBatch(
+      "q", {Req("a"), Req("b"), Req("c"), Req("d"), Req("e")});
+  ASSERT_EQ(queues_->DequeueBatch("q", DequeueRequest{}, 5)->size(), 5u);
+  const std::vector<MessageId> acked{ids[0], ids[1]};
+  const std::vector<MessageId> nacked{ids[2]};
+  const std::vector<MessageId> released{ids[3], ids[4]};
+  Settlement settlement;
+  settlement.acked = acked;
+  settlement.nacked = nacked;
+  settlement.released = released;
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  uint64_t commits_before = commits->Value();
+
+  // An id listed under two outcomes is refused before anything is
+  // written.
+  const std::vector<MessageId> twice{ids[2], ids[3]};
+  Settlement conflicting = settlement;
+  conflicting.released = twice;
+  EXPECT_TRUE(queues_->Settle("q", "", conflicting).IsInvalidArgument());
+  EXPECT_EQ(commits->Value(), commits_before);
+
+#ifdef EDADB_FAILPOINTS_ENABLED
+  {
+    // The commit fails: every message stays locked, charged once.
+    testing::FailpointGuard guard;
+    testing::ArmError("db.commit.before_wal");
+    EXPECT_TRUE(queues_->Settle("q", "", settlement).IsIOError());
+  }
+  EXPECT_EQ(*queues_->Depth("q", ""), 0u);
+  QueryResult rows = *db_->Execute(QueryBuilder("__q_q_dlv").Build());
+  ASSERT_EQ(rows.rows.size(), 5u);
+  for (const Record& row : rows.rows) {
+    EXPECT_EQ(*row.Get("delivery_count")->AsInt64(), 1);
+    EXPECT_GT(*row.Get("locked_until")->AsInt64(), 0);
+  }
+  commits_before = commits->Value();
+#endif  // EDADB_FAILPOINTS_ENABLED
+
+  ASSERT_OK(queues_->Settle("q", "", settlement));
+  EXPECT_EQ(commits->Value() - commits_before, 1u);
+  // a and b are gone; c comes back charged, d and e uncharged.
+  const std::vector<Message> again =
+      *queues_->DequeueBatch("q", DequeueRequest{}, 10);
+  ASSERT_EQ(again.size(), 3u);
+  EXPECT_EQ(again[0].payload, "c");
+  EXPECT_EQ(again[0].delivery_count, 2);
+  EXPECT_EQ(again[1].payload, "d");
+  EXPECT_EQ(again[1].delivery_count, 1);
+  EXPECT_EQ(again[2].payload, "e");
+  EXPECT_EQ(again[2].delivery_count, 1);
 }
 
 #ifdef EDADB_FAILPOINTS_ENABLED

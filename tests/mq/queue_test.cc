@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "testing/sleep.h"
@@ -28,6 +29,10 @@ class QueueTest : public ::testing::Test {
     request.payload = payload;
     request.priority = priority;
     return request;
+  }
+
+  static uint64_t Commits() {
+    return metrics::Registry::Default()->GetCounter("db.commits")->Value();
   }
 
   TempDir dir_;
@@ -172,6 +177,47 @@ TEST_F(QueueTest, NackWithDelayDefersRedelivery) {
   EXPECT_TRUE(queues_->Dequeue("q", dq)->has_value());
 }
 
+// A nack that arrives after its lock lapsed, and after a dequeue that
+// took nothing put the message back in ready, moves it out of ready:
+// the message waits out the nack's delay and is then delivered once.
+TEST_F(QueueTest, StaleNackAfterPromotionDeliversOnce) {
+  QueueCreateOptions options;
+  options.visibility_timeout_micros = 60 * kMicrosPerSecond;
+  ASSERT_OK(queues_->CreateQueue("q", options));
+  const MessageId id = *queues_->Enqueue("q", Req("m"));
+  DequeueRequest dq;
+  ASSERT_TRUE(queues_->Dequeue("q", dq)->has_value());  // A takes m.
+  clock_.AdvanceMicros(61 * kMicrosPerSecond);           // A's lock lapses.
+  EXPECT_TRUE(queues_->DequeueBatch("q", dq, 0)->empty());
+  ASSERT_OK(queues_->Nack("q", "", id, kMicrosPerSecond));  // A, late.
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());     // B.
+  clock_.AdvanceMicros(2 * kMicrosPerSecond);
+  auto c = *queues_->Dequeue("q", dq);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->id, id);
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());  // C holds m.
+}
+
+// A second nack of a message that is not locked reschedules it: the
+// later delay holds, and the earlier one leaves no second entry behind.
+TEST_F(QueueTest, RepeatedDelayedNackDeliversOnce) {
+  QueueCreateOptions options;
+  options.visibility_timeout_micros = 60 * kMicrosPerSecond;
+  ASSERT_OK(queues_->CreateQueue("q", options));
+  const MessageId id = *queues_->Enqueue("q", Req("m"));
+  DequeueRequest dq;
+  ASSERT_TRUE(queues_->Dequeue("q", dq)->has_value());
+  ASSERT_OK(queues_->Nack("q", "", id, kMicrosPerSecond));
+  ASSERT_OK(queues_->Nack("q", "", id, 5 * kMicrosPerSecond));
+  clock_.AdvanceMicros(2 * kMicrosPerSecond);
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
+  clock_.AdvanceMicros(4 * kMicrosPerSecond);
+  auto c = *queues_->Dequeue("q", dq);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->id, id);
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
+}
+
 TEST_F(QueueTest, DelayedEnqueueInvisibleUntilDue) {
   ASSERT_OK(queues_->CreateQueue("q"));
   EnqueueRequest request = Req("scheduled");
@@ -289,6 +335,21 @@ TEST_F(QueueTest, TtlExpiryPurges) {
   DequeueRequest dq;
   EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
   EXPECT_TRUE(queues_->Dequeue("dlq", dq)->has_value());
+
+  // Four expired messages held by two groups: each is dead-lettered
+  // once, and the purge costs one commit per group.
+  ASSERT_OK(queues_->AddConsumerGroup("q", "g1"));
+  ASSERT_OK(queues_->AddConsumerGroup("q", "g2"));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_OK(queues_->Enqueue("q", request).status());
+  }
+  clock_.AdvanceMicros(10 * kMicrosPerSecond);
+  const uint64_t commits_before = Commits();
+  EXPECT_EQ(*queues_->PurgeExpired("q"), 4u);
+  EXPECT_EQ(Commits() - commits_before, 2u);
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 0u);
+  EXPECT_EQ(*db_->CountRows("__q_q_dlv"), 0u);
+  EXPECT_EQ(*queues_->Depth("dlq", ""), 4u);
 }
 
 TEST_F(QueueTest, ExpiredMessageSkippedAtDequeue) {
@@ -302,6 +363,20 @@ TEST_F(QueueTest, ExpiredMessageSkippedAtDequeue) {
   auto msg = *queues_->Dequeue("q", dq);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload, "alive");
+
+  // Three expired messages ahead of a live one: the dequeue finishes
+  // the three and locks the fourth in one commit.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK(queues_->Enqueue("q", dying).status());
+  }
+  ASSERT_OK(queues_->Enqueue("q", Req("alive 2")).status());
+  clock_.AdvanceMicros(2 * kMicrosPerSecond);
+  const uint64_t commits_before = Commits();
+  msg = *queues_->Dequeue("q", dq);
+  EXPECT_EQ(Commits() - commits_before, 1u);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, "alive 2");
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 2u);  // The two live ones.
 }
 
 TEST_F(QueueTest, TransactionalEnqueueVisibleAtCommit) {

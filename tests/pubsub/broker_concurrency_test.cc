@@ -143,6 +143,39 @@ TEST_F(BrokerConcurrencyTest, SubscribeWhileRetainedPublishesReplaceTheValue) {
   EXPECT_EQ(served, kTopics);
 }
 
+// Two publishers replacing one topic's retained value never collide on
+// its row: every Publish succeeds, and a newcomer is served exactly one
+// value, the last one some publisher sent.
+TEST_F(BrokerConcurrencyTest, ConcurrentRetainedPublishesAllSucceed) {
+  constexpr int kPublishers = 2;
+  constexpr int kPerPublisher = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> publishers;
+  for (int p = 0; p < kPublishers; ++p) {
+    publishers.emplace_back([&, p] {
+      for (int i = 0; i < kPerPublisher; ++i) {
+        Publication pub = Pub("retained/one", std::to_string(p) + "-" +
+                                                  std::to_string(i));
+        pub.retain = true;
+        if (!broker_->Publish(pub).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& publisher : publishers) publisher.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  std::vector<std::string> served;
+  SubscriptionSpec spec;
+  spec.subscriber = "late";
+  spec.topic_pattern = "retained/one";
+  spec.handler = [&](const Publication& pub) { served.push_back(pub.payload); };
+  ASSERT_OK(broker_->Subscribe(std::move(spec)).status());
+  ASSERT_EQ(served.size(), 1u);
+  const std::string last = "-" + std::to_string(kPerPublisher - 1);
+  EXPECT_TRUE(served[0] == "0" + last || served[0] == "1" + last)
+      << served[0];
+}
+
 TEST_F(BrokerConcurrencyTest, DurableSubscribersFetchWhilePublishersRace) {
   constexpr int kPublishers = 4;
   constexpr int kPerPublisher = 40;

@@ -5,9 +5,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "testing/crash_harness.h"
 #include "testing/sleep.h"
 
 namespace edadb {
@@ -273,6 +275,32 @@ TEST_F(BrokerTest, UnsubscribeStopsDeliveryAndCleansUp) {
   EXPECT_EQ(broker_->num_subscriptions(), 0u);
 }
 
+#ifdef EDADB_FAILPOINTS_ENABLED
+// Unsubscribe deletes the subscription's row first: when that commit
+// fails, the subscription stays live and listed, in this process and
+// after a reopen, and keeps receiving.
+TEST_F(BrokerTest, FailedUnsubscribeKeepsTheSubscription) {
+  SubscriptionSpec spec;
+  spec.subscriber = "worker";
+  spec.topic_pattern = "jobs";
+  spec.durable = true;
+  const std::string id = *broker_->Subscribe(std::move(spec));
+  {
+    testing::FailpointGuard guard;
+    testing::ArmError("db.commit.before_wal");
+    EXPECT_TRUE(broker_->Unsubscribe(id).IsIOError());
+  }
+  EXPECT_EQ(broker_->num_subscriptions(), 1u);
+  EXPECT_EQ(*broker_->Publish(Pub("jobs", "j1")), 1u);
+  Reopen();
+  EXPECT_EQ(broker_->num_subscriptions(), 1u);
+  EXPECT_EQ((*broker_->Fetch(id))->payload, "j1");
+  ASSERT_OK(broker_->Unsubscribe(id));
+  Reopen();
+  EXPECT_EQ(broker_->num_subscriptions(), 0u);
+}
+#endif  // EDADB_FAILPOINTS_ENABLED
+
 TEST_F(BrokerTest, FetchOnNonDurableFails) {
   SubscriptionSpec spec;
   spec.subscriber = "cb";
@@ -305,7 +333,12 @@ TEST_F(BrokerTest, RetainedValueIsReplaced) {
   Publication v2 = Pub("state", "new");
   v2.retain = true;
   ASSERT_OK(broker_->Publish(v1).status());
+  // Replacing the value is one commit.
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  const uint64_t commits_before = commits->Value();
   ASSERT_OK(broker_->Publish(v2).status());
+  EXPECT_EQ(commits->Value() - commits_before, 1u);
   std::vector<std::string> received;
   SubscriptionSpec spec;
   spec.subscriber = "joiner";
