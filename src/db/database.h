@@ -151,6 +151,10 @@ class Database {
   /// deleted.
   EDADB_NODISCARD Status Checkpoint(Lsn retain_lsn);
 
+  /// Makes every applied commit durable, one whose own sync failed
+  /// (DurabilityUnknown) included. A no-op under WalSyncPolicy::kNever.
+  EDADB_NODISCARD Status SyncWal();
+
   /// Current end of the WAL.
   Lsn wal_end_lsn() const;
 

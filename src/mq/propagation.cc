@@ -117,6 +117,7 @@ Result<size_t> Propagator::RunOnce() {
     RuleStats delta;
     DequeueRequest request;
     request.group = rule.source_group;
+    request.lease = true;
     for (;;) {
       EDADB_ASSIGN_OR_RETURN(
           std::vector<Message> batch,
@@ -125,7 +126,8 @@ Result<size_t> Propagator::RunOnce() {
       EDADB_ASSIGN_OR_RETURN(const bool stopped,
                              MoveBatch(rule, batch, &delta));
       // A failed message stops this rule for now; it is redeliverable.
-      if (stopped) break;
+      // A short batch means the source ran dry.
+      if (stopped || batch.size() < kBatchSize) break;
     }
     forwarded_total += delta.forwarded;
     MutexLock lock(&mu_);
@@ -140,6 +142,9 @@ Result<size_t> Propagator::RunOnce() {
 Result<bool> Propagator::MoveBatch(const PropagationRule& rule,
                                    const std::vector<Message>& batch,
                                    RuleStats* delta) {
+  // The batch is leased in memory: until a settle commits, a crash
+  // leaves every message ready at restart, uncharged.
+  FAILPOINT("mq.propagate.leased");
   // Filter: non-matching messages are consumed and dropped (acked with
   // the forwarded ones below).
   std::vector<MessageId> acks;
@@ -153,15 +158,11 @@ Result<bool> Propagator::MoveBatch(const PropagationRule& rule,
       forward.push_back(&message);
     }
   }
-  // Forward in order; `moved` counts the prefix that reached the
-  // destination. Past a failure nothing is tried.
-  size_t moved = 0;
-  if (rule.external != nullptr) {
-    for (; moved < forward.size(); ++moved) {
-      if (!DeliverExternal(rule, *forward[moved]).ok()) break;
-    }
-  } else if (!forward.empty()) {
-    std::vector<EnqueueRequest> out;
+  const std::string& source = rule.source_queue;
+  const std::string& group = rule.source_group;
+  const std::string& to = rule.destination_queue;
+  std::vector<EnqueueRequest> out;
+  if (rule.external == nullptr) {
     out.reserve(forward.size());
     for (const Message* message : forward) {
       if (rule.transform != nullptr) {
@@ -175,63 +176,101 @@ Result<bool> Propagator::MoveBatch(const PropagationRule& rule,
         out.push_back(std::move(request));
       }
     }
+  }
+  const bool same_shard = rule.external == nullptr &&
+                          queues_->ShardOf(source) == queues_->ShardOf(to);
+  if (same_shard && !forward.empty()) {
+    // The destination messages are staged inside the one Settle that
+    // consumes their sources: the hop is one commit. One that applied
+    // (DurabilityUnknown) is moved, since both halves are in one WAL and
+    // recovery keeps both or neither.
+    for (const Message* message : forward) acks.push_back(message->id);
+    if (CommitApplied(queues_->Settle(
+            source, group,
+            {.acked = acks, .forward_to = to, .forwarded = out}))) {
+      delta->forwarded += forward.size();
+      return false;
+    }
+    acks.resize(acks.size() - forward.size());
+  }
+  // Forward in order; `moved` counts the prefix that reached the
+  // destination and `settled` the part of it already settled. Past a
+  // failure nothing is tried.
+  size_t moved = 0;
+  size_t settled = 0;
+  // The destination applied the handoff but its sync failed.
+  bool unsure = false;
+  if (rule.external != nullptr) {
+    for (; moved < forward.size(); ++moved) {
+      if (!DeliverExternal(rule, *forward[moved]).ok()) break;
+    }
+  } else if (same_shard) {
+    // The batch applied nothing: one Settle per message, each with its
+    // own forward, so a poisoned message fails alone.
+    for (; moved < forward.size(); ++moved) {
+      if (!CommitApplied(queues_->Settle(source, group,
+                                         {.acked = {&forward[moved]->id, 1},
+                                          .forward_to = to,
+                                          .forwarded = {&out[moved], 1}}))) {
+        break;
+      }
+    }
+    settled = moved;
+  } else if (!forward.empty()) {
     // Cross-shard handoff: enqueue idempotently through the destination
     // shard's own commit pipeline. Each key is stable across
     // redeliveries of its source message (ids survive recovery), so the
-    // crash window between the destination commit and the source ack
+    // crash window between the destination commit and the source settle
     // below replays into "already delivered" instead of a duplicate.
-    const bool cross_shard = queues_->ShardOf(rule.source_queue) !=
-                             queues_->ShardOf(rule.destination_queue);
     std::vector<std::string> keys;
-    if (cross_shard) {
-      keys.reserve(forward.size());
-      for (const Message* message : forward) {
-        keys.push_back(rule.name + "\x01" + std::to_string(message->id));
+    keys.reserve(forward.size());
+    for (const Message* message : forward) {
+      keys.push_back(rule.name + "\x01" + std::to_string(message->id));
+    }
+    // One transaction for the batch; if it fails without applying, one
+    // per message, so a poisoned message fails alone.
+    Status sent = queues_->EnqueueDedupBatch(to, out, keys).status();
+    if (sent.ok()) {
+      moved = forward.size();
+    } else if (!sent.IsDurabilityUnknown()) {
+      for (; moved < forward.size(); ++moved) {
+        sent = queues_->EnqueueDedup(to, out[moved], keys[moved]).status();
+        if (!sent.ok()) break;
       }
     }
-    const std::string& to = rule.destination_queue;
-    // One transaction for the batch; if it fails without applying, one
-    // per message, so a poisoned message fails alone. A batch that
-    // applied (DurabilityUnknown) is moved: a retry would stage it twice.
-    if (CommitApplied(cross_shard
-                          ? queues_->EnqueueDedupBatch(to, out, keys).status()
-                          : queues_->EnqueueBatch(to, out).status())) {
-      moved = forward.size();
-    }
-    for (; moved < forward.size(); ++moved) {
-      const Status one =
-          cross_shard
-              ? queues_->EnqueueDedup(to, out[moved], keys[moved]).status()
-              : queues_->Enqueue(to, out[moved]).status();
-      if (!one.ok()) break;
-    }
-    if (cross_shard && moved > 0) {
+    // The source's sync does not cover the destination's WAL, so what
+    // the destination holds without having synced is released, not
+    // finished: the retry finds its keys consumed and finishes it once
+    // the destination is durable.
+    unsure = sent.IsDurabilityUnknown();
+    if (moved > 0) {
       // Destination committed (or had already committed) but the
       // source still holds the messages: the at-least-once window the
       // torture schedules crash inside.
       FAILPOINT("mq.propagate.handoff");
     }
   }
-  for (size_t i = 0; i < moved; ++i) acks.push_back(forward[i]->id);
+  for (size_t i = settled; i < moved; ++i) acks.push_back(forward[i]->id);
   delta->forwarded += moved;
-  // One Settle for the batch: the delivered prefix and the filter drops
-  // are acked; past a failure, the failed message is charged one attempt
-  // (nacked) and the ones after it, never tried, go back uncharged
-  // (released).
+  // One Settle for the rest of the batch: the delivered prefix and the
+  // filter drops are acked; past a failure, the failed message is
+  // charged one attempt (nacked) and the ones after it, never tried, go
+  // back uncharged (released), as does an unsure handoff. Releasing a
+  // lease writes nothing.
   Settlement settlement;
   settlement.acked = acks;
   std::vector<MessageId> untried;
   const bool stopped = moved < forward.size();
   if (stopped) {
-    ++delta->failed;
-    settlement.nacked = {&forward[moved]->id, 1};
-    for (size_t i = moved + 1; i < forward.size(); ++i) {
-      untried.push_back(forward[i]->id);
+    size_t next = moved;
+    if (!unsure) {
+      ++delta->failed;
+      settlement.nacked = {&forward[next++]->id, 1};
     }
+    for (; next < forward.size(); ++next) untried.push_back(forward[next]->id);
     settlement.released = untried;
   }
-  EDADB_RETURN_IF_ERROR(
-      queues_->Settle(rule.source_queue, rule.source_group, settlement));
+  EDADB_RETURN_IF_ERROR(queues_->Settle(source, group, settlement));
   return stopped;
 }
 

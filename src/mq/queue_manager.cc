@@ -415,12 +415,16 @@ Status QueueManager::RemoveConsumerGroup(const std::string& queue,
   MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-  if (it->second.explicit_groups.erase(group) == 0) {
+  if (it->second.explicit_groups.count(group) == 0) {
     return Status::NotFound("group '" + group + "'");
   }
+  // The row first: the group leaves memory only once its delete applied,
+  // so a failed delete leaves it registered in memory and on disk.
   const Predicate match = Predicate::ColumnsEqual(
       {{"queue", Value::String(queue)}, {"grp", Value::String(group)}});
-  EDADB_RETURN_IF_ERROR(db_->DeleteWhere(kGroupsTable, match).status());
+  const Status deleted = db_->DeleteWhere(kGroupsTable, match).status();
+  if (!CommitApplied(deleted)) return deleted;
+  it->second.explicit_groups.erase(group);
   // Finish any outstanding deliveries so messages can be garbage
   // collected.
   auto rt_it = it->second.runtime.find(group);
@@ -433,7 +437,7 @@ Status QueueManager::RemoveConsumerGroup(const std::string& queue,
     EDADB_RETURN_IF_ERROR(SettleLocked(queue, &it->second, group, outcomes));
     it->second.runtime.erase(group);
   }
-  return Status::OK();
+  return deleted;
 }
 
 Result<std::vector<std::string>> QueueManager::ListConsumerGroups(
@@ -623,7 +627,12 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
   std::vector<std::optional<MessageId>> ids;
   ids.reserve(count);
   if (committed.IsAlreadyExists()) {
-    if (count == 1) return std::vector<std::optional<MessageId>>{std::nullopt};
+    if (count == 1) {
+      // The commit that consumed the key may be one whose sync failed:
+      // "already delivered" holds only once it is durable.
+      EDADB_RETURN_IF_ERROR(db_->SyncWal());
+      return std::vector<std::optional<MessageId>>{std::nullopt};
+    }
     // Some key was consumed already (a handoff replayed after a crash):
     // stage key by key, so only the consumed ones come back nullopt.
     for (size_t i = 0; i < count; ++i) {
@@ -788,11 +797,29 @@ void QueueManager::Promote(QueueState* state, GroupRuntime* rt,
   }
 }
 
+Status QueueManager::StageLocked(Transaction* txn, const std::string& name,
+                                 const EnqueueRequest& request, WallMicros now,
+                                 std::vector<Staging>* stagings) const {
+  auto it = std::find_if(
+      stagings->begin(), stagings->end(),
+      [&name](const Staging& staging) { return staging.target.queue == name; });
+  if (it == stagings->end()) {
+    EDADB_ASSIGN_OR_RETURN(StagingTarget target, ResolveStagingLocked(name));
+    it = stagings->insert(stagings->end(), {std::move(target), {}});
+  }
+  std::string attrs;
+  EncodeAttributes(request.attributes, &attrs);
+  EDADB_ASSIGN_OR_RETURN(StagedMessage staged,
+                         StageMessage(txn, it->target, request, attrs, now));
+  it->messages.push_back(std::move(staged));
+  return Status::OK();
+}
+
 Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
                                   const std::string& group,
                                   std::span<const Outcome> outcomes,
-                                  TimestampMicros nack_delay_micros) {
-  if (outcomes.empty()) return Status::OK();
+                                  const Settlement& settlement) {
+  if (outcomes.empty() && settlement.forwarded.empty()) return Status::OK();
   auto rt_it = state->runtime.find(group);
   if (rt_it == state->runtime.end()) {
     return Status::NotFound("no runtime for group '" + group + "'");
@@ -800,6 +827,7 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
   GroupRuntime& rt = rt_it->second;
   const QueueTables& tables = state->tables;
   const TimestampMicros timeout = state->options.visibility_timeout_micros;
+  const TimestampMicros nack_delay_micros = settlement.redeliver_delay_micros;
   // Rows store wall-domain times (recovery converts them back); the
   // runtime schedules their steady-domain twins.
   const WallMicros wall_now = clock_->WallNow();
@@ -814,12 +842,21 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
   };
   std::vector<Staged> staged;
   staged.reserve(outcomes.size());
-  size_t counts[Outcome::kRelease + 1] = {};
-  // Resolved at the first dead-letter: ShardRouter co-locates a queue
-  // with its DLQ, so the DLQ lives under this mu_ too.
-  std::optional<Result<StagingTarget>> dlq;
-  std::vector<StagedMessage> copies;
-  std::unique_ptr<Transaction> txn = db_->BeginTransaction();
+  size_t counts[Outcome::kLease + 1] = {};
+  // Begun at the first row this call writes.
+  std::unique_ptr<Transaction> txn = nullptr;
+  const auto writes = [&txn, this] {
+    if (txn == nullptr) txn = db_->BeginTransaction();
+    return txn.get();
+  };
+  // Dead-letter copies and forwards. ShardRouter co-locates a queue
+  // with its DLQ and refuses a forward to another shard, so both
+  // targets live under this mu_ too.
+  std::vector<Staging> stagings;
+  for (const EnqueueRequest& request : settlement.forwarded) {
+    EDADB_RETURN_IF_ERROR(StageLocked(writes(), settlement.forward_to, request,
+                                      wall_now, &stagings));
+  }
   for (const Outcome& outcome : outcomes) {
     const MessageId id = outcome.id;
     auto deliv_it = rt.deliveries.find(id);
@@ -838,15 +875,12 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
     if (next.kind == Outcome::kRelease && rt.locked.count(id) == 0) {
       continue;  // Lock lapsed: already back.
     }
-    if (next.kind == Outcome::kDeadLetter) {
+    if (next.kind == Outcome::kDeadLetter &&
+        queues_.count(state->options.dead_letter_queue) > 0) {
       // The copy commits with the finish, so a crash leaves the message
       // in exactly one of the two queues. With no DLQ, or no message row
       // to copy, the delivery finishes without a copy.
-      if (!dlq.has_value()) {
-        dlq = ResolveStagingLocked(state->options.dead_letter_queue);
-      }
-      Result<Message> message = dlq->ok() ? LoadMessage(queue, tables, id)
-                                          : Result<Message>(dlq->status());
+      Result<Message> message = LoadMessage(queue, tables, id);
       if (message.ok()) {
         EnqueueRequest request;
         request.payload = std::move(message->payload);
@@ -858,16 +892,14 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
             "dlq_source_id", Value::Int64(static_cast<int64_t>(id)));
         request.priority = message->priority;
         request.correlation_id = std::move(message->correlation_id);
-        std::string attrs;
-        EncodeAttributes(request.attributes, &attrs);
-        EDADB_ASSIGN_OR_RETURN(
-            StagedMessage copy,
-            StageMessage(txn.get(), **dlq, request, attrs, wall_now));
-        copies.push_back(std::move(copy));
+        EDADB_RETURN_IF_ERROR(
+            StageLocked(writes(), state->options.dead_letter_queue, request,
+                        wall_now, &stagings));
       }
     }
     if (next.kind == Outcome::kFinish || next.kind == Outcome::kDeadLetter) {
-      EDADB_RETURN_IF_ERROR(txn->DeleteRow(tables.dlv_table, deliv.deliv_row));
+      EDADB_RETURN_IF_ERROR(
+          writes()->DeleteRow(tables.dlv_table, deliv.deliv_row));
       next.last = true;
       for (const auto& [name, other] : state->runtime) {
         if (name != group && other.deliveries.count(id) > 0) {
@@ -876,17 +908,18 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
         }
       }
       if (next.last) {
-        EDADB_RETURN_IF_ERROR(txn->DeleteRow(tables.msg_table, id));
+        EDADB_RETURN_IF_ERROR(writes()->DeleteRow(tables.msg_table, id));
       }
-    } else {
+    } else if (next.kind != Outcome::kLease &&
+               !(next.kind == Outcome::kRelease && deliv.leased)) {
       // A lock charges the attempt, a release takes it back; a nack
-      // keeps it and moves the visibility time.
+      // keeps it (a lease's too) and moves the visibility time.
       int64_t count = deliv.delivery_count;
       if (next.kind == Outcome::kLock) ++count;
       if (next.kind == Outcome::kRelease) {
         count = std::max<int64_t>(0, count - 1);
       }
-      EDADB_RETURN_IF_ERROR(txn->UpdateRow(
+      EDADB_RETURN_IF_ERROR(writes()->UpdateRow(
           tables.dlv_table, deliv.deliv_row,
           DeliveryRecord(
               tables.dlv_schema, group, id,
@@ -897,7 +930,7 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
     ++counts[next.kind];
     staged.push_back(next);
   }
-  if (staged.empty()) return Status::OK();
+  if (staged.empty() && stagings.empty()) return Status::OK();
   const bool finishes =
       counts[Outcome::kFinish] + counts[Outcome::kDeadLetter] > 0;
   const bool wakes = counts[Outcome::kNack] + counts[Outcome::kRelease] > 0;
@@ -909,7 +942,7 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
   if (finishes) FAILPOINT("mq.finish.before_commit");
   // A commit that applied but failed its sync wrote the rows too, so the
   // runtime follows them; it keeps its entries only if nothing applied.
-  const Status committed = txn->Commit();
+  const Status committed = txn != nullptr ? txn->Commit() : Status::OK();
   if (!CommitApplied(committed)) return committed;
   // The rows are gone: a crash from here on must never redeliver.
   if (finishes) FAILPOINT_HIT("mq.finish.after_commit");
@@ -917,7 +950,9 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
   for (const Staged& done : staged) {
     const MessageId id = done.deliv->first;
     DelivState& deliv = done.deliv->second;
-    if (done.kind == Outcome::kLock && !committed.ok()) continue;
+    const bool takes =
+        done.kind == Outcome::kLock || done.kind == Outcome::kLease;
+    if (takes && !committed.ok()) continue;
     // A live delivery sits in exactly one of locked / ready / delayed.
     if (rt.locked.erase(id) == 0 &&
         rt.ready.erase({-PriorityOf(*state, id), id}) == 0) {
@@ -930,7 +965,9 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
     }
     switch (done.kind) {
       case Outcome::kLock:
+      case Outcome::kLease:
         ++deliv.delivery_count;
+        deliv.leased = done.kind == Outcome::kLease;
         rt.locked[id] = steady_now + timeout;
         break;
       case Outcome::kNack:
@@ -956,19 +993,24 @@ Status QueueManager::SettleLocked(const std::string& queue, QueueState* state,
   if (counts[Outcome::kDeadLetter] > 0) {
     DeadLetterCounter()->Add(counts[Outcome::kDeadLetter]);
   }
-  if (!copies.empty()) {
-    AddStagedLocked(**dlq, copies);  // Bumps the activity sequence.
-    EnqueuedCounter()->Add(copies.size());
-    if (shard_enqueues_ != nullptr) shard_enqueues_->Add(copies.size());
+  for (const Staging& staging : stagings) {
+    AddStagedLocked(staging.target, staging.messages);  // Bumps activity.
+    EnqueuedCounter()->Add(staging.messages.size());
+    if (shard_enqueues_ != nullptr) {
+      shard_enqueues_->Add(staging.messages.size());
+    }
   }
   if (wakes) BumpActivityLocked();
-  if (wakes || !copies.empty()) enqueue_cv_.SignalAll();
+  if (wakes || !stagings.empty()) enqueue_cv_.SignalAll();
   return committed;
 }
 
 Result<std::vector<Message>> QueueManager::DequeueBatch(
     const std::string& queue, const DequeueRequest& request,
     size_t max_messages) {
+  if (request.lease && request.remove) {
+    return Status::InvalidArgument("a dequeue either leases or removes");
+  }
   metrics::LatencyScope latency(DequeueLatency());
   std::vector<Message> out;
   MutexLock lock(&mu_);
@@ -988,7 +1030,9 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
   // Walk the ready set in place, in dequeue order. Nothing the walk
   // decides moves until SettleLocked commits it: the taken messages and
   // every expired or spent one passed on the way, in ONE transaction.
-  const Outcome::Kind take = request.remove ? Outcome::kFinish : Outcome::kLock;
+  const Outcome::Kind take = request.remove  ? Outcome::kFinish
+                             : request.lease ? Outcome::kLease
+                                             : Outcome::kLock;
   std::vector<Outcome> outcomes;
   for (auto ready_it = rt.ready.begin();
        ready_it != rt.ready.end() && out.size() < max_messages;) {
@@ -1020,8 +1064,9 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
     out.push_back(std::move(message));
   }
   // A lock commit that failed, DurabilityUnknown included, hands the
-  // caller nothing: the messages stay ready, uncharged. A REMOVE-mode
-  // commit that applied consumed them, so they are returned.
+  // caller nothing: the messages stay ready, uncharged (leases too, when
+  // the walk's dead-lettering failed). A REMOVE-mode commit that applied
+  // consumed them, so they are returned.
   const Status settled =
       SettleLocked(queue, &state, request.group, outcomes);
   if (request.remove ? !CommitApplied(settled) : !settled.ok()) {
@@ -1138,12 +1183,11 @@ Status QueueManager::Settle(const std::string& queue, const std::string& group,
   MutexLock lock(&mu_);
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("queue '" + queue + "'");
-  if (outcomes.empty()) return Status::OK();
   // Nothing persisted yet: a crash here loses the ack, and the message
   // must be redelivered after the visibility timeout (at-least-once).
   if (!settlement.acked.empty()) FAILPOINT("mq.ack.before_finish");
-  const Status settled = SettleLocked(queue, &it->second, group, outcomes,
-                                      settlement.redeliver_delay_micros);
+  const Status settled =
+      SettleLocked(queue, &it->second, group, outcomes, settlement);
   if (CommitApplied(settled)) AckCounter()->Add(settlement.acked.size());
   return settled;
 }

@@ -35,8 +35,9 @@ namespace edadb {
 /// enqueues stage and commit without it, then take it briefly to add
 /// what their commit applied to the runtime and wake blocked
 /// DequeueWait() callers. Each call is at most one transaction on the
-/// happy path, whatever its batch size. The in-memory runtime follows
-/// the manager's own applied commits; queue tables carry no triggers.
+/// happy path, whatever its batch size, and a leasing dequeue none. The
+/// in-memory runtime follows the manager's own applied commits; queue
+/// tables carry no triggers.
 ///
 /// One QueueManager is one delivery shard: one database (WAL stream +
 /// commit pipeline), one lock domain, one wait/wake domain. The sharded
@@ -80,7 +81,9 @@ class QueueManager : public QueueService {
   /// transaction consumes every key in the __handoff ledger (unique
   /// index) and stages the messages. A consumed key aborts that commit
   /// before it reaches the WAL; the batch then falls back to one
-  /// transaction per key, and a consumed key reports nullopt.
+  /// transaction per key, and a consumed key reports nullopt once this
+  /// shard's WAL is durable (Database::SyncWal), since the commit that
+  /// consumed it may be one whose sync failed.
   EDADB_NODISCARD Result<std::vector<std::optional<MessageId>>>
   EnqueueDedupBatch(const std::string& queue,
                     const std::vector<EnqueueRequest>& requests,
@@ -106,6 +109,10 @@ class QueueManager : public QueueService {
   /// counts unchanged. One Settle can then ack some of a batch, nack one
   /// and release the rest. Fewer than `max_messages` (possibly zero) are
   /// returned when the queue runs dry.
+  ///
+  /// With `request.lease` the taken messages are leased instead: charged
+  /// and invisible in memory only, so a walk that meets no expired or
+  /// spent message writes nothing and begins no transaction.
   ///
   /// With `request.remove` (AQ's REMOVE mode) nothing is locked: the
   /// taken messages' delivery rows, and each message row no other group
@@ -153,7 +160,8 @@ class QueueManager : public QueueService {
   void Shutdown() override;
 
   /// One SettleLocked transaction (contract: QueueService::Settle), so
-  /// no crash can leave a fully acked message body behind.
+  /// no crash can leave a fully acked message body behind, nor a
+  /// forwarded message in both queues or in neither.
   EDADB_NODISCARD Status Settle(const std::string& queue,
                                 const std::string& group,
                                 const Settlement& settlement) override;
@@ -200,10 +208,14 @@ class QueueManager : public QueueService {
 
   /// One group's live delivery of a message, mirroring its delivery
   /// row so lock/unlock updates can rewrite the row without reading it.
+  /// `delivery_count` also holds the charges of leases, which reach the
+  /// row with its next write; `leased`: the entry in `locked`, if any,
+  /// is a lease, whose row holds no lock.
   struct DelivState {
     RowId deliv_row = 0;
     int64_t delivery_count = 0;
     WallMicros visible_at;
+    bool leased = false;
   };
 
   /// In-memory dequeue index per consumer group. The database tables are
@@ -266,9 +278,12 @@ class QueueManager : public QueueService {
 
   /// What SettleLocked does with one of a group's deliveries. A
   /// dead-letter finishes it and copies the message into the DLQ, with
-  /// `reason` as the copy's dlq_reason.
+  /// `reason` as the copy's dlq_reason. A lease is a lock that writes
+  /// nothing.
   struct Outcome {
-    enum Kind : uint8_t { kLock, kFinish, kDeadLetter, kNack, kRelease };
+    enum Kind : uint8_t {
+      kLock, kFinish, kDeadLetter, kNack, kRelease, kLease
+    };
     MessageId id = 0;
     Kind kind = kFinish;
     const char* reason = "max_deliveries";
@@ -364,15 +379,35 @@ class QueueManager : public QueueService {
   /// outcome (distinct ids of `group`) in ONE transaction, all or
   /// nothing, and returns the commit's status. A nack that has spent
   /// max_deliveries dead-letters; a release whose lock lapsed is
-  /// skipped. Once the commit applied, each id leaves whichever of
-  /// ready, locked and delayed holds it and goes where its outcome puts
-  /// it; locks move only on OK, since a dequeue that failed hands its
-  /// caller nothing.
+  /// skipped; a lease, and a release of one, write no row, and a call
+  /// that writes none begins no transaction. `settlement` supplies the
+  /// nack delay and the forward, staged in that transaction; its id
+  /// lists arrive as `outcomes`. Once the commit applied, each id leaves
+  /// whichever of ready, locked and delayed holds it and goes where its
+  /// outcome puts it; locks and leases move only on OK, since a dequeue
+  /// that failed hands its caller nothing.
   EDADB_NODISCARD Status SettleLocked(const std::string& queue,
                                       QueueState* state,
                                       const std::string& group,
                                       std::span<const Outcome> outcomes,
-                                      TimestampMicros nack_delay_micros = 0)
+                                      const Settlement& settlement = {})
+      EDADB_REQUIRES(mu_);
+
+  /// Messages one SettleLocked call stages into a queue of this shard (a
+  /// dead-letter copy, a forward); they join its runtime once the
+  /// commit applied.
+  struct Staging {
+    StagingTarget target;
+    std::vector<StagedMessage> messages;
+  };
+
+  /// SettleLocked's one staging helper: stages `request` into the queue
+  /// `name` inside `txn`, resolving the queue into `stagings` at its
+  /// first message. NotFound when the queue does not exist.
+  EDADB_NODISCARD Status StageLocked(Transaction* txn, const std::string& name,
+                                     const EnqueueRequest& request,
+                                     WallMicros now,
+                                     std::vector<Staging>* stagings) const
       EDADB_REQUIRES(mu_);
 
   Database* const db_;

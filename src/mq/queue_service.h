@@ -50,6 +50,16 @@ struct DequeueRequest {
   /// follows. A crash before that commit leaves the messages for the
   /// next dequeue; once it applied they are never delivered again.
   bool remove = false;
+  /// Lease mode: the taken messages are charged one attempt and stay
+  /// invisible for the visibility timeout, as locked ones are, but only
+  /// in memory: the dequeue writes no row. A crash forgets the lease,
+  /// so at restart the messages are ready at once with their persisted
+  /// delivery counts: a consumer that dies holding a lease is not
+  /// charged. Settling a lease: an ack deletes the rows, a nack writes
+  /// the charged count, a release writes nothing. A lease that lapses
+  /// keeps its charge in memory until the delivery's next row write.
+  /// With `remove` as well, InvalidArgument.
+  bool lease = false;
 };
 
 /// One destination of QueueService::EnqueueFanout: a queue, and the
@@ -61,7 +71,8 @@ struct FanoutTarget {
 
 /// What a consumer group did with messages it dequeued, settled by one
 /// QueueService::Settle: AMQP 1.0's accepted (`acked`), modified
-/// (`nacked`) and released outcomes. The spans must outlive the call.
+/// (`nacked`) and released outcomes, plus the messages it forwards to
+/// a queue on the same shard. The spans must outlive the call.
 struct Settlement {
   /// Consumed.
   std::span<const MessageId> acked{};
@@ -71,6 +82,12 @@ struct Settlement {
   /// Never tried: unlocked as if the dequeue never happened, the attempt
   /// taken back. Ids whose lock already lapsed are skipped.
   std::span<const MessageId> released{};
+  /// Staged into `forward_to` in the settle's own transaction, so a
+  /// dequeue and the enqueue it feeds commit as one unit (AQ's
+  /// propagation within one database). `forward_to` must live on the
+  /// settled queue's shard.
+  std::string forward_to{};
+  std::span<const EnqueueRequest> forwarded{};
 };
 
 /// The staging-area surface shared by the single-domain QueueManager and
@@ -169,9 +186,9 @@ class QueueService {
   }
 
   /// Takes up to `max_messages` deliverable messages in dequeue order
-  /// and locks them until the group settles them (Settle), or, with
-  /// `request.remove`, consumes them at once: see
-  /// QueueManager::DequeueBatch.
+  /// and locks them until the group settles them (Settle), leases them
+  /// in memory (`request.lease`), or consumes them at once
+  /// (`request.remove`): see QueueManager::DequeueBatch.
   EDADB_NODISCARD virtual Result<std::vector<Message>> DequeueBatch(
       const std::string& queue, const DequeueRequest& request,
       size_t max_messages) = 0;
@@ -197,6 +214,9 @@ class QueueService {
   /// empty settlement OK. An id the group holds no delivery of fails the
   /// call NotFound before anything is written; repeats within one list
   /// collapse, and an id listed under two outcomes is InvalidArgument.
+  /// The `forwarded` requests are staged in the same transaction; a
+  /// `forward_to` that does not exist is NotFound, and one on another
+  /// shard InvalidArgument, both before anything is written.
   /// DurabilityUnknown (the WAL sync failed) still settled the ids in
   /// this process: an acked message is not redelivered.
   EDADB_NODISCARD virtual Status Settle(const std::string& queue,

@@ -293,7 +293,25 @@ Result<std::optional<Message>> ShardRouter::DequeueWait(
 
 Status ShardRouter::Settle(const std::string& queue, const std::string& group,
                            const Settlement& settlement) {
-  const size_t shard = ShardOf(queue);
+  size_t shard = 0;
+  {
+    MutexLock lock(&mu_);
+    shard = ShardOfLocked(queue);
+    // A forward is staged in the settle's one transaction, so it must
+    // stay in the settled queue's commit pipeline.
+    if (!settlement.forwarded.empty()) {
+      const auto to = queue_shard_.find(settlement.forward_to);
+      if (to == queue_shard_.end()) {
+        return Status::NotFound("queue '" + settlement.forward_to + "'");
+      }
+      if (to->second != shard) {
+        return Status::InvalidArgument(
+            "cannot forward from '" + queue + "' on shard " +
+            std::to_string(shard) + " to '" + settlement.forward_to +
+            "' on shard " + std::to_string(to->second));
+      }
+    }
+  }
   EDADB_ASSIGN_OR_RETURN(const std::vector<MessageId> acked,
                          UntagIds(shard, settlement.acked));
   EDADB_ASSIGN_OR_RETURN(const std::vector<MessageId> nacked,
@@ -302,7 +320,8 @@ Status ShardRouter::Settle(const std::string& queue, const std::string& group,
                          UntagIds(shard, settlement.released));
   return shards_[shard].queues->Settle(
       queue, group,
-      {acked, nacked, settlement.redeliver_delay_micros, released});
+      {acked, nacked, settlement.redeliver_delay_micros, released,
+       settlement.forward_to, settlement.forwarded});
 }
 
 Result<size_t> ShardRouter::Depth(const std::string& queue,

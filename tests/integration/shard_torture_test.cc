@@ -7,18 +7,25 @@
 //     independently);
 //   - the cross-shard handoff crashes between the destination commit
 //     and the source ack ("mq.propagate.handoff"), or before the
-//     destination commit ("mq.handoff.before_commit").
+//     destination commit ("mq.handoff.before_commit");
+//   - a propagation hop crashes while it holds its batch leased in
+//     memory ("mq.propagate.leased").
+//
+// Messages travel src -> mid -> dst: a same-shard hop (the one settle
+// that forwards) and then a cross-shard handoff.
 //
 // Invariants after recovery:
 //
 //   1. per-shard depth conservation: on every shard, message rows ==
 //      delivery rows for each of its queues (single consumer group);
 //   2. messages acked on the destination are never redelivered;
-//   3. handed-off messages are exactly-once-visible: after the
-//      propagator re-drains the source, every confirmed source message
-//      surfaces on the destination exactly once — the handoff is
-//      at-least-once transport with an idempotence ledger, so the
-//      crash window replays into a no-op, not a duplicate.
+//   3. propagated messages are exactly-once-visible: after the
+//      propagator re-drains src and mid, every confirmed source message
+//      surfaces on the destination exactly once. The same-shard hop
+//      moves it in one transaction; the handoff is at-least-once
+//      transport with an idempotence ledger, so its crash window
+//      replays into a no-op, not a duplicate. A copy lost or doubled on
+//      either hop shows at dst.
 //
 // Everything derives from EDADB_TEST_SEED; EDADB_TORTURE_SCHEDULES
 // bounds the randomized count.
@@ -69,8 +76,8 @@ constexpr size_t kShards = 4;
 constexpr int64_t kVisibilityMicros = 30 * kMicrosPerSecond;
 
 // Kill sites spanning one shard's WAL/commit pipeline (whichever shard
-// happens to be executing when the site fires) and the cross-shard
-// handoff protocol's two windows.
+// happens to be executing when the site fires), the cross-shard
+// handoff protocol's two windows and a hop's leased batch.
 constexpr const char* kCrashSites[] = {
     "wal.append.before",
     "wal.append.torn",
@@ -87,6 +94,7 @@ constexpr const char* kCrashSites[] = {
     "mq.finish.after_commit",
     "mq.handoff.before_commit",
     "mq.propagate.handoff",
+    "mq.propagate.leased",
 };
 constexpr size_t kNumCrashSites = sizeof(kCrashSites) / sizeof(kCrashSites[0]);
 
@@ -98,23 +106,25 @@ struct Oracle {
   std::vector<std::vector<int64_t>> enq_uncertain_batches;
 };
 
-/// Sharded rig: primary database + 4-shard router + propagator with one
-/// cross-shard rule source -> destination.
+/// Sharded rig: primary database + 4-shard router + propagator with a
+/// same-shard rule src -> mid and a cross-shard rule mid -> dst.
 class ShardTortureRig {
  public:
   void Init(WalSyncPolicy sync_policy) {
     sync_policy_ = sync_policy;
     Reopen();
     ASSERT_TRUE(router_ != nullptr);
-    // Source and destination pinned to DIFFERENT shards so every
-    // forward is a cross-shard handoff.
+    // src and mid share a shard, so the first hop is a same-shard
+    // forward; dst lives on another, so the second is a handoff.
     src_ = NameOnShard(1, "src");
+    mid_ = NameOnShard(1, "mid");
     dst_ = NameOnShard(2, "dst");
     QueueCreateOptions qopts;
     qopts.max_deliveries = 1000000;  // Keep the DLQ out of the picture.
     qopts.visibility_timeout_micros = kVisibilityMicros;
-    ASSERT_OK(router_->CreateQueue(src_, qopts));
-    ASSERT_OK(router_->CreateQueue(dst_, qopts));
+    for (const std::string& queue : {src_, mid_, dst_}) {
+      ASSERT_OK(router_->CreateQueue(queue, qopts));
+    }
     WireRule();
   }
 
@@ -151,7 +161,7 @@ class ShardTortureRig {
   /// Full invariant check; call after Reopen() with failpoints disarmed.
   void VerifyInvariants(const Oracle& oracle) {
     // --- 1. Per-shard depth conservation ------------------------------
-    for (const std::string& queue : {src_, dst_}) {
+    for (const std::string& queue : {src_, mid_, dst_}) {
       Database* shard_db = router_->shard_db(router_->ShardOf(queue));
       auto msgs = shard_db->CountRows("__q_" + queue + "_msgs");
       auto dlvs = shard_db->CountRows("__q_" + queue + "_dlv");
@@ -162,24 +172,31 @@ class ShardTortureRig {
           << "' lost depth conservation after recovery";
     }
 
-    // --- Re-drain the source through the handoff path -----------------
+    // --- Re-drain src and mid through both hops -----------------------
     // The propagator retries whatever the crash left behind; the dedup
     // ledger must turn replays of already-committed handoffs into
     // no-ops.
+    // mid shares src's shard.
     Database* src_db = router_->shard_db(router_->ShardOf(src_));
+    const auto left = [&] {
+      size_t rows = 0;
+      for (const std::string& queue : {src_, mid_}) {
+        auto n = src_db->CountRows("__q_" + queue + "_msgs");
+        EXPECT_OK(n.status());
+        if (n.ok()) rows += *n;
+      }
+      return rows;
+    };
     for (int round = 0; round < 100000; ++round) {
       auto n = propagator_->RunOnce();
       ASSERT_OK(n.status());
-      auto left = src_db->CountRows("__q_" + src_ + "_msgs");
-      ASSERT_OK(left.status());
-      if (*left == 0) break;
-      // Locked survivors (the crashed propagator held the lock): jump
-      // past the visibility timeout so they redeliver.
+      if (left() == 0) break;
+      // Locked survivors (a lease lapses in the live process, a lock
+      // survives a crash): jump past the visibility timeout so they
+      // redeliver.
       clock_.AdvanceMicros(kVisibilityMicros + kMicrosPerSecond);
     }
-    auto src_left = src_db->CountRows("__q_" + src_ + "_msgs");
-    ASSERT_OK(src_left.status());
-    ASSERT_EQ(0u, *src_left) << "source never fully propagated";
+    ASSERT_EQ(0u, left()) << "src and mid never fully propagated";
 
     // --- 2 + 3. Drain the destination: exactly-once visibility --------
     std::set<int64_t> drained;
@@ -264,11 +281,17 @@ class ShardTortureRig {
 
   void WireRule() {
     propagator_ = std::make_unique<Propagator>(router_.get());
-    PropagationRule rule;
-    rule.name = "handoff";
-    rule.source_queue = src_;
-    rule.destination_queue = dst_;
-    ASSERT_OK(propagator_->AddRule(std::move(rule)));
+    // Rules run in name order, so one pump carries a message src -> dst.
+    PropagationRule near;
+    near.name = "a_near";
+    near.source_queue = src_;
+    near.destination_queue = mid_;
+    ASSERT_OK(propagator_->AddRule(std::move(near)));
+    PropagationRule handoff;
+    handoff.name = "handoff";
+    handoff.source_queue = mid_;
+    handoff.destination_queue = dst_;
+    ASSERT_OK(propagator_->AddRule(std::move(handoff)));
   }
 
   void DoOneOp(Random* rng, Oracle* oracle) {
@@ -278,8 +301,8 @@ class ShardTortureRig {
     } else if (kind < 4) {
       EnqueueBatchOp(rng, oracle);
     } else if (kind < 7) {
-      // The cross-shard handoff path; an injected error leaves the
-      // message nacked on the source, a crash unwinds to the schedule.
+      // Both hops; an injected error leaves the message nacked on its
+      // source, a crash unwinds to the schedule.
       EDADB_IGNORE_STATUS(propagator_->RunOnce().status(),
                           "propagation may fail under the armed fault; "
                           "handoff invariants are asserted after recovery");
@@ -349,6 +372,7 @@ class ShardTortureRig {
   std::unique_ptr<ShardRouter> router_;
   std::unique_ptr<Propagator> propagator_;
   std::string src_;
+  std::string mid_;
   std::string dst_;
   int64_t next_msg_ = 1;
   size_t drained_count_ = 0;
@@ -384,14 +408,15 @@ int ScheduleCount() {
 }
 
 // Deterministic sweep over the shard-specific windows, with real group
-// commits (kOnCommit): one shard's WAL dies mid-group-commit, and the
-// handoff dies on both sides of the destination commit.
+// commits (kOnCommit): one shard's WAL dies mid-group-commit, the
+// handoff dies on both sides of the destination commit, and a hop dies
+// holding its leased batch.
 TEST(ShardTortureTest, CrashSweepOverHandoffAndGroupCommit) {
   FailpointGuard guard;
   const char* sites[] = {
       "wal.group_commit.leader", "db.commit.before_sync",
       "db.commit.after_sync",    "mq.handoff.before_commit",
-      "mq.propagate.handoff",
+      "mq.propagate.handoff",    "mq.propagate.leased",
   };
   std::set<std::string> crashed_sites;
   uint64_t schedule_id = 0;
@@ -406,11 +431,12 @@ TEST(ShardTortureTest, CrashSweepOverHandoffAndGroupCommit) {
       if (crashed) crashed_sites.insert(site);
     }
   }
-  // Both handoff windows must actually have been hit: the workload
-  // always crosses shards, so a sweep that never reached them means the
-  // failpoints moved.
+  // Both handoff windows and the lease must actually have been hit: the
+  // workload always crosses shards, so a sweep that never reached them
+  // means the failpoints moved.
   EXPECT_EQ(1u, crashed_sites.count("mq.handoff.before_commit"));
   EXPECT_EQ(1u, crashed_sites.count("mq.propagate.handoff"));
+  EXPECT_EQ(1u, crashed_sites.count("mq.propagate.leased"));
   EXPECT_GE(crashed_sites.size(), 4u);
 }
 

@@ -8,23 +8,48 @@
 #include "mq/shard_router.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "testing/crash_harness.h"
 
 namespace edadb {
 namespace {
 
-class PropagationTest : public testing::Test {
+uint64_t Commits() {
+  return metrics::Registry::Default()->GetCounter("db.commits")->Value();
+}
+
+class PropagationTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    clock_.SetMicros(kMicrosPerHour);
+    Reopen();
+    ASSERT_TRUE(queues_->CreateQueue("source").ok());
+    ASSERT_TRUE(queues_->CreateQueue("dest").ok());
+  }
+
+  /// A process restart: the propagator's rules and the queues' leases
+  /// are gone, the tables recovered.
+  void Reopen() {
+    propagator_.reset();
+    queues_.reset();
+    db_.reset();
     DatabaseOptions options;
     options.dir = dir_.path();
     options.wal_sync_policy = WalSyncPolicy::kNever;
     options.clock = &clock_;
-    clock_.SetMicros(kMicrosPerHour);
     db_ = *Database::Open(std::move(options));
     queues_ = *QueueManager::Attach(db_.get());
     propagator_ = std::make_unique<Propagator>(queues_.get());
-    ASSERT_TRUE(queues_->CreateQueue("source").ok());
-    ASSERT_TRUE(queues_->CreateQueue("dest").ok());
+  }
+
+  /// The source's persisted delivery counts, in row order.
+  std::vector<int64_t> SourceDeliveryCounts() {
+    const QueryResult rows =
+        *db_->Execute(QueryBuilder("__q_source_dlv").Build());
+    std::vector<int64_t> counts;
+    for (const Record& row : rows.rows) {
+      counts.push_back(*row.Get("delivery_count")->AsInt64());
+    }
+    return counts;
   }
 
   EnqueueRequest Req(const std::string& payload, int64_t severity = 5) {
@@ -305,13 +330,13 @@ TEST_F(PropagationTest, MidBatchFailureChargesOnlyWhatWasTried) {
   for (int i = 0; i < 6; ++i) requests.push_back(Req("m" + std::to_string(i)));
   ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
 
-  // m0..m2 arrive, m3 fails, m4 and m5 are never tried. The batch costs
-  // its lock commit and one settle commit.
+  // m0..m2 arrive, m3 fails, m4 and m5 are never tried. The lease writes
+  // nothing, so the batch costs its one settle commit.
   metrics::Counter* commits =
       metrics::Registry::Default()->GetCounter("db.commits");
   const uint64_t commits_before = commits->Value();
   EXPECT_EQ(*propagator_->RunOnce(), 3u);
-  EXPECT_EQ(commits->Value() - commits_before, 2u);
+  EXPECT_EQ(commits->Value() - commits_before, 1u);
   auto stats = *propagator_->GetStats("to_gateway");
   EXPECT_EQ(stats.forwarded, 3u);
   EXPECT_EQ(stats.failed, 1u);
@@ -336,6 +361,106 @@ TEST_F(PropagationTest, MidBatchFailureChargesOnlyWhatWasTried) {
   EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
 }
 
+// A same-shard hop is one commit: the settle that consumes the leased
+// batch stages its destination messages in the same transaction. When
+// that commit applies nothing, each message is settled with its own
+// forward, and none arrives twice.
+TEST_F(PropagationTest, SameShardHopIsOneCommit) {
+  PropagationRule rule;
+  rule.name = "fwd";
+  rule.source_queue = "source";
+  rule.destination_queue = "dest";
+  ASSERT_OK(propagator_->AddRule(std::move(rule)));
+  std::vector<EnqueueRequest> requests;
+  for (int i = 0; i < 5; ++i) requests.push_back(Req("m" + std::to_string(i)));
+  ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
+  metrics::Counter* enqueued =
+      metrics::Registry::Default()->GetCounter("mq.enqueued");
+  const uint64_t enqueued_before = enqueued->Value();
+  uint64_t commits_before = Commits();
+  EXPECT_EQ(*propagator_->RunOnce(), 5u);
+  EXPECT_EQ(Commits() - commits_before, 1u);
+  EXPECT_EQ(enqueued->Value() - enqueued_before, 5u);
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+  EXPECT_EQ(*queues_->Depth("dest", ""), 5u);
+
+#if EDADB_FAILPOINTS_ENABLED
+  ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
+  {
+    testing::FailpointGuard guard;
+    testing::ArmError("db.commit.before_wal");
+    commits_before = Commits();
+    EXPECT_EQ(*propagator_->RunOnce(), 5u);
+    EXPECT_EQ(Commits() - commits_before, 5u);
+  }
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+  EXPECT_EQ(*db_->CountRows("__q_dest_msgs"), 10u);
+#endif  // EDADB_FAILPOINTS_ENABLED
+}
+
+// An external hop delivers the leased batch, then makes one commit.
+TEST_F(PropagationTest, ExternalHopIsOneCommit) {
+  SimulatedExternalService gateway("gateway", {}, &clock_);
+  PropagationRule rule;
+  rule.name = "to_gateway";
+  rule.source_queue = "source";
+  rule.external = &gateway;
+  ASSERT_OK(propagator_->AddRule(std::move(rule)));
+  std::vector<EnqueueRequest> requests;
+  for (int i = 0; i < 5; ++i) requests.push_back(Req("m" + std::to_string(i)));
+  ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
+  const uint64_t commits_before = Commits();
+  EXPECT_EQ(*propagator_->RunOnce(), 5u);
+  EXPECT_EQ(Commits() - commits_before, 1u);
+  EXPECT_EQ(gateway.delivered_count(), 5u);
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+}
+
+#if EDADB_FAILPOINTS_ENABLED
+// The crash-loop decision (DESIGN.md §7): a process that crashes while
+// it holds a lease is not charged, so a crash loop neither spends
+// max_deliveries nor loses the message. A delivery that fails and
+// returns is nacked, and charged, as before.
+TEST_F(PropagationTest, CrashLoopingDeliveryIsNeitherChargedNorLost) {
+  testing::FailpointGuard guard;
+  SimulatedExternalService gateway("gateway", {}, &clock_);
+  const auto add_rule = [&] {
+    PropagationRule rule;
+    rule.name = "to_gateway";
+    rule.source_queue = "source";
+    rule.external = &gateway;
+    ASSERT_OK(propagator_->AddRule(std::move(rule)));
+  };
+  add_rule();
+  ASSERT_OK(queues_->Enqueue("source", Req("fragile")).status());
+  for (int crash = 0; crash < 3; ++crash) {
+    testing::ArmCrash("mq.propagate.deliver");
+    bool crashed = false;
+    try {
+      EDADB_IGNORE_STATUS(propagator_->RunOnce().status(),
+                          "the armed crash fires before RunOnce returns");
+    } catch (const testing::SimulatedCrash&) {
+      crashed = true;
+    }
+    EXPECT_TRUE(crashed) << "crash " << crash;
+    failpoint::DisarmAll();
+    Reopen();
+    add_rule();
+    // Still at the source, ready at once, and never charged.
+    EXPECT_EQ(*queues_->Depth("source", ""), 1u);
+    EXPECT_EQ(SourceDeliveryCounts(), std::vector<int64_t>{0});
+  }
+  EXPECT_EQ(*propagator_->RunOnce(), 1u);
+  ASSERT_EQ(gateway.delivered().size(), 1u);
+  EXPECT_EQ(gateway.delivered()[0].payload, "fragile");
+  EXPECT_EQ(gateway.delivered()[0].delivery_count, 1);
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  EXPECT_EQ(*propagator_->RunOnce(), 0u);
+  EXPECT_EQ(gateway.delivered_count(), 1u);
+  EXPECT_EQ(*db_->CountRows("__q_source_msgs"), 0u);
+}
+#endif  // EDADB_FAILPOINTS_ENABLED
+
 // The forwarded batch's commit applied but its WAL sync failed. That is
 // not a rollback, so the batch is not staged again message by message:
 // the destination holds exactly one copy of each.
@@ -349,12 +474,16 @@ TEST_F(PropagationTest, FailedSyncOnForwardedBatchMovesItOnce) {
   for (int i = 0; i < 3; ++i) requests.push_back(Req("m" + std::to_string(i)));
   ASSERT_OK(queues_->EnqueueBatch("source", requests).status());
 
-  // Sync 1 persists the dequeue locks; sync 2 is the destination batch.
+  // The hop is one commit, the settle that stages the destination
+  // batch, so its sync is the only one and the one that fails.
+  failpoint::ResetHitCounts();
   failpoint::Action fault;
-  fault.skip = 1;
   fault.max_fires = 1;
   failpoint::Arm("wal.sync", fault);
   EXPECT_EQ(*propagator_->RunOnce(), 3u);
+#if EDADB_FAILPOINTS_ENABLED
+  EXPECT_EQ(failpoint::HitCount("wal.sync"), 1u);
+#endif
   failpoint::DisarmAll();
 
   EXPECT_EQ(*db_->CountRows("__q_dest_msgs"), 3u);
@@ -429,6 +558,158 @@ TEST(PropagationShardTest, ConsumedDedupKeyInBatchDeliversExactlyOnce) {
   clock.AdvanceMicros(31 * kMicrosPerSecond);
   EXPECT_EQ(*router->Depth(src, ""), 0u);
 }
+
+/// A two-shard router over a fresh directory.
+struct TwoShards {
+  explicit TwoShards(WalSyncPolicy sync_policy = WalSyncPolicy::kNever) {
+    DatabaseOptions options;
+    options.dir = dir.path();
+    options.wal_sync_policy = sync_policy;
+    options.clock = &clock;
+    db = *Database::Open(std::move(options));
+    router = *ShardRouter::Open(db.get(), 2);
+  }
+
+  /// A queue name that hashes to `shard`.
+  std::string NameOn(size_t shard, const std::string& stem) const {
+    for (int i = 0;; ++i) {
+      const std::string name = stem + std::to_string(i);
+      if (router->HashShard(name) == shard) return name;
+    }
+  }
+
+  size_t MsgRows(const std::string& queue) const {
+    return *router->shard_db(router->ShardOf(queue))
+                ->CountRows("__q_" + queue + "_msgs");
+  }
+
+  TempDir dir;
+  SimulatedClock clock{kMicrosPerHour};
+  std::unique_ptr<Database> db;
+  std::unique_ptr<ShardRouter> router;
+};
+
+// Commits per hop, as db.commits deltas over both shards: a same-shard
+// hop is its one settle; a cross-shard hop is the destination's
+// EnqueueDedupBatch, then that settle.
+TEST(PropagationShardTest, HopCommitsOncePerPipeline) {
+  TwoShards shards;
+  ShardRouter* router = shards.router.get();
+  const std::string src = shards.NameOn(0, "src");
+  const std::string near = shards.NameOn(0, "near");
+  const std::string far = shards.NameOn(1, "far");
+  for (const std::string& queue : {src, near, far}) {
+    ASSERT_OK(router->CreateQueue(queue));
+  }
+  // One source group per hop, each pumped by its own propagator.
+  Propagator local(router);
+  Propagator remote(router);
+  PropagationRule to_near;
+  to_near.name = "local";
+  to_near.source_queue = src;
+  to_near.source_group = "near";
+  to_near.destination_queue = near;
+  ASSERT_OK(local.AddRule(std::move(to_near)));
+  PropagationRule to_far;
+  to_far.name = "remote";
+  to_far.source_queue = src;
+  to_far.source_group = "far";
+  to_far.destination_queue = far;
+  ASSERT_OK(remote.AddRule(std::move(to_far)));
+  std::vector<EnqueueRequest> requests(5);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].payload = "m" + std::to_string(i);
+  }
+  ASSERT_OK(router->EnqueueBatch(src, requests).status());
+
+  uint64_t commits_before = Commits();
+  EXPECT_EQ(*local.RunOnce(), 5u);
+  EXPECT_EQ(Commits() - commits_before, 1u);
+  commits_before = Commits();
+  EXPECT_EQ(*remote.RunOnce(), 5u);
+  EXPECT_EQ(Commits() - commits_before, 2u);
+  EXPECT_EQ(*router->Depth(near, ""), 5u);
+  EXPECT_EQ(*router->Depth(far, ""), 5u);
+  EXPECT_EQ(shards.MsgRows(src), 0u);
+}
+
+// A forward stays in the settled queue's commit pipeline: one to a
+// queue on another shard is InvalidArgument, one to no queue NotFound,
+// and neither writes anything.
+TEST(PropagationShardTest, SettleForwardsOnlyWithinItsShard) {
+  TwoShards shards;
+  ShardRouter* router = shards.router.get();
+  const std::string src = shards.NameOn(0, "src");
+  const std::string far = shards.NameOn(1, "far");
+  ASSERT_OK(router->CreateQueue(src));
+  ASSERT_OK(router->CreateQueue(far));
+  EnqueueRequest request;
+  request.payload = "m";
+  const MessageId id = *router->Enqueue(src, request);
+  DequeueRequest lease;
+  lease.lease = true;
+  ASSERT_EQ(router->DequeueBatch(src, lease, 1)->size(), 1u);
+
+  const uint64_t commits_before = Commits();
+  EXPECT_TRUE(router
+                  ->Settle(src, "",
+                           {.acked = {&id, 1},
+                            .forward_to = far,
+                            .forwarded = {&request, 1}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(router
+                  ->Settle(src, "",
+                           {.acked = {&id, 1},
+                            .forward_to = "ghost",
+                            .forwarded = {&request, 1}})
+                  .IsNotFound());
+  EXPECT_EQ(Commits(), commits_before);
+  EXPECT_EQ(shards.MsgRows(far), 0u);
+  // The lease is still held, so the ack finds it.
+  ASSERT_OK(router->Ack(src, "", id));
+  EXPECT_EQ(shards.MsgRows(src), 0u);
+}
+
+#if EDADB_FAILPOINTS_ENABLED
+// A cross-shard handoff whose destination commit applied but did not
+// sync is released at the source, not finished: the source's sync does
+// not cover the destination's WAL. The next pump finds its key
+// consumed, makes the destination durable and finishes the message.
+TEST(PropagationShardTest, DurabilityUnknownHandoffFinishesOnceDurable) {
+  testing::FailpointGuard guard;
+  TwoShards shards(WalSyncPolicy::kOnCommit);
+  ShardRouter* router = shards.router.get();
+  const std::string src = shards.NameOn(0, "src");
+  const std::string dst = shards.NameOn(1, "dst");
+  ASSERT_OK(router->CreateQueue(src));
+  ASSERT_OK(router->CreateQueue(dst));
+  Propagator propagator(router);
+  PropagationRule rule;
+  rule.name = "handoff";
+  rule.source_queue = src;
+  rule.destination_queue = dst;
+  ASSERT_OK(propagator.AddRule(std::move(rule)));
+  EnqueueRequest request;
+  request.payload = "m";
+  ASSERT_OK(router->Enqueue(src, request).status());
+
+  // The lease writes nothing, so the first sync is the destination's.
+  testing::ArmError("wal.sync");
+  Result<size_t> moved = propagator.RunOnce();
+  ASSERT_OK(moved.status());
+  EXPECT_EQ(*moved, 0u);
+  failpoint::DisarmAll();
+  EXPECT_EQ(shards.MsgRows(dst), 1u);
+  // Released, not finished: ready again with no clock advance.
+  EXPECT_EQ(*router->Depth(src, ""), 1u);
+
+  moved = propagator.RunOnce();
+  ASSERT_OK(moved.status());
+  EXPECT_EQ(*moved, 1u);
+  EXPECT_EQ(shards.MsgRows(src), 0u);
+  EXPECT_EQ(shards.MsgRows(dst), 1u);
+}
+#endif  // EDADB_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace edadb

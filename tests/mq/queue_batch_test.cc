@@ -177,6 +177,50 @@ TEST_F(QueueBatchTest, SettleIsOneTransaction) {
   EXPECT_EQ(again[2].delivery_count, 1);
 }
 
+// A settle's forward commits with its outcomes: the forwarded messages
+// reach the destination in that one transaction, and a commit that
+// fails applies neither half. A forward to no queue is NotFound before
+// anything is written.
+TEST_F(QueueBatchTest, SettleForwardsInItsTransaction) {
+  ASSERT_OK(queues_->CreateQueue("q2"));
+  const std::vector<MessageId> ids =
+      *queues_->EnqueueBatch("q", {Req("a"), Req("b")});
+  DequeueRequest lease;
+  lease.lease = true;
+  ASSERT_EQ(queues_->DequeueBatch("q", lease, 2)->size(), 2u);
+  const std::vector<EnqueueRequest> copies{Req("a2"), Req("b2")};
+  const Settlement settlement{
+      .acked = ids, .forward_to = "q2", .forwarded = copies};
+  metrics::Counter* commits =
+      metrics::Registry::Default()->GetCounter("db.commits");
+  uint64_t commits_before = commits->Value();
+
+  Settlement nowhere = settlement;
+  nowhere.forward_to = "ghost";
+  EXPECT_TRUE(queues_->Settle("q", "", nowhere).IsNotFound());
+  EXPECT_EQ(commits->Value(), commits_before);
+
+#if EDADB_FAILPOINTS_ENABLED
+  {
+    testing::FailpointGuard guard;
+    testing::ArmError("db.commit.before_wal");
+    EXPECT_TRUE(queues_->Settle("q", "", settlement).IsIOError());
+  }
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 2u);
+  EXPECT_EQ(*db_->CountRows("__q_q2_msgs"), 0u);
+  commits_before = commits->Value();
+#endif  // EDADB_FAILPOINTS_ENABLED
+
+  ASSERT_OK(queues_->Settle("q", "", settlement));
+  EXPECT_EQ(commits->Value() - commits_before, 1u);
+  EXPECT_EQ(*db_->CountRows("__q_q_msgs"), 0u);
+  const std::vector<Message> forwarded =
+      *queues_->DequeueBatch("q2", DequeueRequest{}, 10);
+  ASSERT_EQ(forwarded.size(), 2u);
+  EXPECT_EQ(forwarded[0].payload, "a2");
+  EXPECT_EQ(forwarded[1].payload, "b2");
+}
+
 #ifdef EDADB_FAILPOINTS_ENABLED
 // When the one transaction fails without applying, each target is
 // staged on its own: the failing one fails alone, and no message lands

@@ -6,14 +6,16 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "gtest/gtest.h"
 #include "mq/queue_manager.h"
 #include "test_util.h"
+#include "testing/crash_harness.h"
 
 namespace edadb {
 namespace {
 
-class QueueReattachTest : public testing::Test {
+class QueueReattachTest : public ::testing::Test {
  protected:
   void SetUp() override { Reopen(); }
 
@@ -149,6 +151,31 @@ TEST_F(QueueReattachTest, RemoveGroupWithQuoteInNameRemovesOnlyThatGroup) {
   EXPECT_EQ(*queues_->ListConsumerGroups("q"),
             (std::vector<std::string>{"g1"}));
 }
+
+#if EDADB_FAILPOINTS_ENABLED
+// RemoveConsumerGroup deletes the group's row first: when that fails,
+// the group stays registered in memory and on disk, and keeps receiving.
+TEST_F(QueueReattachTest, FailedRemoveGroupKeepsTheGroup) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->AddConsumerGroup("q", "g1"));
+  {
+    testing::FailpointGuard guard;
+    testing::ArmError("db.commit.before_wal");
+    EXPECT_TRUE(queues_->RemoveConsumerGroup("q", "g1").IsIOError());
+  }
+  EXPECT_EQ(*queues_->ListConsumerGroups("q"),
+            std::vector<std::string>{"g1"});
+  ASSERT_OK(queues_->Enqueue("q", Req("kept")).status());
+  EXPECT_EQ(*queues_->Depth("q", "g1"), 1u);
+
+  Reopen();
+  DequeueRequest g1;
+  g1.group = "g1";
+  auto message = *queues_->Dequeue("q", g1);
+  ASSERT_TRUE(message.has_value());
+  EXPECT_EQ(message->payload, "kept");
+}
+#endif  // EDADB_FAILPOINTS_ENABLED
 
 TEST_F(QueueReattachTest, CheckpointThenReattach) {
   ASSERT_OK(queues_->CreateQueue("q"));

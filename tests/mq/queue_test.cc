@@ -35,6 +35,24 @@ class QueueTest : public ::testing::Test {
     return metrics::Registry::Default()->GetCounter("db.commits")->Value();
   }
 
+  /// A process restart: in-memory leases are gone, the tables recovered.
+  void Reopen() {
+    queues_.reset();
+    db_.reset();
+    DatabaseOptions options;
+    options.dir = dir_.path();
+    options.wal_sync_policy = WalSyncPolicy::kNever;
+    options.clock = &clock_;
+    db_ = *Database::Open(std::move(options));
+    queues_ = *QueueManager::Attach(db_.get());
+  }
+
+  static DequeueRequest Lease() {
+    DequeueRequest request;
+    request.lease = true;
+    return request;
+  }
+
   TempDir dir_;
   SimulatedClock clock_;
   std::unique_ptr<Database> db_;
@@ -422,6 +440,86 @@ TEST_F(QueueTest, MessagesSurviveReattach) {
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload, "durable");
   EXPECT_EQ(msg->priority, 3);
+}
+
+// A lease takes a message as a lock does, but in memory only: it writes
+// nothing, a second dequeue does not see the message, and once the
+// visibility timeout lapses the message comes back carrying the lease's
+// charge, which the next row write persists.
+TEST_F(QueueTest, LeasedMessageIsInvisibleUntilTheTimeout) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->Enqueue("q", Req("leased")).status());
+  const uint64_t commits_before = Commits();
+  auto leased = *queues_->Dequeue("q", Lease());
+  ASSERT_TRUE(leased.has_value());
+  EXPECT_EQ(leased->delivery_count, 1);
+  EXPECT_EQ(Commits(), commits_before);
+  DequeueRequest dq;
+  EXPECT_FALSE(queues_->Dequeue("q", dq)->has_value());
+  EXPECT_EQ(*queues_->Depth("q", ""), 0u);
+
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  auto locked = *queues_->Dequeue("q", dq);
+  ASSERT_TRUE(locked.has_value());
+  EXPECT_EQ(locked->payload, "leased");
+  EXPECT_EQ(locked->delivery_count, 2);
+  // The lock's row carries both charges.
+  Reopen();
+  clock_.AdvanceMicros(31 * kMicrosPerSecond);
+  auto again = *queues_->Dequeue("q", dq);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->delivery_count, 3);
+}
+
+// Releasing a lease writes nothing and takes its charge back.
+TEST_F(QueueTest, ReleasingALeaseWritesNothing) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  const MessageId id = *queues_->Enqueue("q", Req("back"));
+  ASSERT_TRUE(queues_->Dequeue("q", Lease())->has_value());
+  const uint64_t commits_before = Commits();
+  ASSERT_OK(queues_->Release("q", "", {id}));
+  EXPECT_EQ(Commits(), commits_before);
+  EXPECT_EQ(*queues_->Depth("q", ""), 1u);
+  auto again = *queues_->Dequeue("q", Lease());
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->delivery_count, 1);
+}
+
+// A nack of a lease writes the charged count, and a reopen shows it.
+TEST_F(QueueTest, NackOfALeasePersistsTheCharge) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  const MessageId id = *queues_->Enqueue("q", Req("failed"));
+  ASSERT_TRUE(queues_->Dequeue("q", Lease())->has_value());
+  const uint64_t commits_before = Commits();
+  ASSERT_OK(queues_->Nack("q", "", id));
+  EXPECT_EQ(Commits() - commits_before, 1u);
+  Reopen();
+  auto again = *queues_->Dequeue("q", Lease());
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->delivery_count, 2);
+}
+
+// A reopen forgets a lease: the message is ready at once, uncharged,
+// with no visibility timeout to wait out.
+TEST_F(QueueTest, ReopenForgetsALease) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->Enqueue("q", Req("forgotten")).status());
+  ASSERT_TRUE(queues_->Dequeue("q", Lease())->has_value());
+  Reopen();
+  DequeueRequest dq;
+  auto again = *queues_->Dequeue("q", dq);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->payload, "forgotten");
+  EXPECT_EQ(again->delivery_count, 1);
+}
+
+TEST_F(QueueTest, LeaseAndRemoveTogetherAreRefused) {
+  ASSERT_OK(queues_->CreateQueue("q"));
+  ASSERT_OK(queues_->Enqueue("q", Req("kept")).status());
+  DequeueRequest both = Lease();
+  both.remove = true;
+  EXPECT_TRUE(queues_->Dequeue("q", both).status().IsInvalidArgument());
+  EXPECT_EQ(*queues_->Depth("q", ""), 1u);
 }
 
 TEST_F(QueueTest, DepthCountsReadyOnly) {
