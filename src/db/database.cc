@@ -971,11 +971,7 @@ Status Database::Checkpoint(Lsn retain_lsn) {
   return wal_->TruncateBefore(std::min(retain_lsn, checkpoint_lsn));
 }
 
-Status Database::SyncWal() {
-  // Outside mu_, like a commit's own barrier (WalWriter is thread-safe).
-  if (options_.wal_sync_policy == WalSyncPolicy::kNever) return Status::OK();
-  return wal_->Sync();
-}
+Status Database::SyncWal() { return wal_->Sync(); }
 
 Lsn Database::wal_end_lsn() const {
   std::shared_lock lock(mu_);

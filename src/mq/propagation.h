@@ -88,35 +88,30 @@ struct PropagationRule {
 
 /// Pumps messages along its rules. Single-threaded driving model: call
 /// RunOnce() from a scheduler loop; each call drains every rule's source
-/// queue, and stops a rule once a batch comes back short (the source ran
-/// dry).
+/// queue, stopping a rule at a short batch (the source ran dry).
 ///
-/// Messages move in batches of up to kBatchSize, taken with an
-/// in-memory lease (DequeueRequest::lease) that writes nothing, so each
-/// hop costs one commit at its source:
-///   - same shard: one Settle acks the batch and stages its destination
-///     messages in the same transaction (Settlement::forwarded);
-///   - another shard: the destination's EnqueueDedupBatch, then one
-///     Settle, two commits on two pipelines;
-///   - external service: one Deliver per message, then one Settle.
-/// When the batch fails without applying, it is retried message by
-/// message so a poisoned message fails alone. Past the first failing
-/// message nothing is tried, and the one Settle acks the delivered
-/// prefix (and every filter drop), nacks the failing message, so queue
-/// redelivery policy and the dead-letter queue apply, and releases the
-/// rest uncharged — exactly what a message-at-a-time loop would have
-/// left behind, in one commit, so no crash leaves a batch half settled.
-/// A crash while the batch is leased forgets the lease: the messages
-/// are ready at restart and their delivery counts are not charged.
+/// Messages move in batches of up to kBatchSize, leased in memory
+/// (DequeueRequest::lease writes nothing), so a hop costs one commit at
+/// its source: a same-shard hop is one Settle that also stages the
+/// destination messages, a cross-shard hop the destination's
+/// EnqueueDedupBatch and then one Settle, an external hop one Deliver
+/// per message and then one Settle. A batch that fails without applying
+/// is retried message by message so a poisoned message fails alone.
+/// Past the first failing message nothing is tried, and the one Settle
+/// acks the delivered prefix (and every filter drop), nacks the failing
+/// message, so queue redelivery policy and the dead-letter queue apply,
+/// and releases the rest uncharged — what a message-at-a-time loop
+/// would have left behind, in one commit. A crash while the batch is
+/// leased forgets the lease: the messages are ready at restart, their
+/// delivery counts not charged.
 ///
-/// Cross-shard handoff: the destination enqueue goes through the target
-/// shard's own commit pipeline via EnqueueDedupBatch, one key per
-/// (rule, source message id). The source settles after the destination
-/// commit, so a crash between the two replays the messages — and the
-/// consumed dedup keys make the replay a no-op: at-least-once transport,
-/// exactly-once visibility. A destination commit whose sync failed
-/// (DurabilityUnknown) is released at the source, not finished, and
-/// the replay finishes it once the destination's WAL is durable.
+/// Cross-shard handoff: EnqueueDedupBatch consumes one key per (rule,
+/// source message id) on the destination shard, and the source settles
+/// after that commit, so a crash between the two replays the messages
+/// and the consumed keys make the replay a no-op: at-least-once
+/// transport, exactly-once visibility. A destination commit whose sync
+/// failed is released at the source, and the replay finishes it once
+/// the destination's WAL is durable.
 class Propagator {
  public:
   explicit Propagator(QueueService* queues) : queues_(queues) {}
@@ -140,10 +135,9 @@ class Propagator {
   static constexpr size_t kBatchSize = 64;
 
  private:
-  /// Moves one leased batch along `rule` and settles it on the source,
-  /// behind the "mq.propagate.leased" fault site; returns true when a
-  /// message failed or a handoff is not yet durable (the rule stops for
-  /// this pump).
+  /// Moves one leased batch along `rule` and settles it on the source;
+  /// returns true when a message failed or a handoff is not yet durable
+  /// (the rule stops for this pump).
   EDADB_NODISCARD Result<bool> MoveBatch(const PropagationRule& rule,
                                          const std::vector<Message>& batch,
                                          RuleStats* delta);

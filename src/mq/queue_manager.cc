@@ -628,8 +628,7 @@ Result<std::vector<std::optional<MessageId>>> QueueManager::DedupSpan(
   ids.reserve(count);
   if (committed.IsAlreadyExists()) {
     if (count == 1) {
-      // The commit that consumed the key may be one whose sync failed:
-      // "already delivered" holds only once it is durable.
+      // "Already delivered" holds only once that commit is durable.
       EDADB_RETURN_IF_ERROR(db_->SyncWal());
       return std::vector<std::optional<MessageId>>{std::nullopt};
     }

@@ -82,8 +82,7 @@ class QueueManager : public QueueService {
   /// index) and stages the messages. A consumed key aborts that commit
   /// before it reaches the WAL; the batch then falls back to one
   /// transaction per key, and a consumed key reports nullopt once this
-  /// shard's WAL is durable (Database::SyncWal), since the commit that
-  /// consumed it may be one whose sync failed.
+  /// shard's WAL is durable (its commit may have failed its sync).
   EDADB_NODISCARD Result<std::vector<std::optional<MessageId>>>
   EnqueueDedupBatch(const std::string& queue,
                     const std::vector<EnqueueRequest>& requests,
@@ -110,9 +109,8 @@ class QueueManager : public QueueService {
   /// and release the rest. Fewer than `max_messages` (possibly zero) are
   /// returned when the queue runs dry.
   ///
-  /// With `request.lease` the taken messages are leased instead: charged
-  /// and invisible in memory only, so a walk that meets no expired or
-  /// spent message writes nothing and begins no transaction.
+  /// With `request.lease` the locks are leases, held in memory only: a
+  /// walk that meets no expired or spent message writes nothing.
   ///
   /// With `request.remove` (AQ's REMOVE mode) nothing is locked: the
   /// taken messages' delivery rows, and each message row no other group
@@ -208,9 +206,8 @@ class QueueManager : public QueueService {
 
   /// One group's live delivery of a message, mirroring its delivery
   /// row so lock/unlock updates can rewrite the row without reading it.
-  /// `delivery_count` also holds the charges of leases, which reach the
-  /// row with its next write; `leased`: the entry in `locked`, if any,
-  /// is a lease, whose row holds no lock.
+  /// `delivery_count` includes lease charges not yet written; `leased`:
+  /// its entry in `locked` is a lease, whose row holds no lock.
   struct DelivState {
     RowId deliv_row = 0;
     int64_t delivery_count = 0;
@@ -281,9 +278,8 @@ class QueueManager : public QueueService {
   /// `reason` as the copy's dlq_reason. A lease is a lock that writes
   /// nothing.
   struct Outcome {
-    enum Kind : uint8_t {
-      kLock, kFinish, kDeadLetter, kNack, kRelease, kLease
-    };
+    enum Kind : uint8_t { kLock, kFinish, kDeadLetter, kNack, kRelease,
+                          kLease };
     MessageId id = 0;
     Kind kind = kFinish;
     const char* reason = "max_deliveries";
@@ -393,17 +389,15 @@ class QueueManager : public QueueService {
                                       const Settlement& settlement = {})
       EDADB_REQUIRES(mu_);
 
-  /// Messages one SettleLocked call stages into a queue of this shard (a
-  /// dead-letter copy, a forward); they join its runtime once the
-  /// commit applied.
+  /// What one SettleLocked call stages into another queue of this shard.
   struct Staging {
     StagingTarget target;
     std::vector<StagedMessage> messages;
   };
 
-  /// SettleLocked's one staging helper: stages `request` into the queue
-  /// `name` inside `txn`, resolving the queue into `stagings` at its
-  /// first message. NotFound when the queue does not exist.
+  /// SettleLocked's staging helper (dead-letter copies and forwards):
+  /// stages `request` into queue `name` inside `txn`, resolved into
+  /// `stagings` at its first message; NotFound when there is no queue.
   EDADB_NODISCARD Status StageLocked(Transaction* txn, const std::string& name,
                                      const EnqueueRequest& request,
                                      WallMicros now,

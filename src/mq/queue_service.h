@@ -50,15 +50,11 @@ struct DequeueRequest {
   /// follows. A crash before that commit leaves the messages for the
   /// next dequeue; once it applied they are never delivered again.
   bool remove = false;
-  /// Lease mode: the taken messages are charged one attempt and stay
-  /// invisible for the visibility timeout, as locked ones are, but only
-  /// in memory: the dequeue writes no row. A crash forgets the lease,
-  /// so at restart the messages are ready at once with their persisted
-  /// delivery counts: a consumer that dies holding a lease is not
-  /// charged. Settling a lease: an ack deletes the rows, a nack writes
-  /// the charged count, a release writes nothing. A lease that lapses
-  /// keeps its charge in memory until the delivery's next row write.
-  /// With `remove` as well, InvalidArgument.
+  /// Lease mode: the taken messages are charged and invisible for the
+  /// visibility timeout as locked ones are, but in memory only: no row
+  /// is written, so a crash forgets the lease and its charge. A nack
+  /// writes the charged count; a release writes nothing. With `remove`
+  /// as well, InvalidArgument.
   bool lease = false;
 };
 
@@ -82,10 +78,8 @@ struct Settlement {
   /// Never tried: unlocked as if the dequeue never happened, the attempt
   /// taken back. Ids whose lock already lapsed are skipped.
   std::span<const MessageId> released{};
-  /// Staged into `forward_to` in the settle's own transaction, so a
-  /// dequeue and the enqueue it feeds commit as one unit (AQ's
-  /// propagation within one database). `forward_to` must live on the
-  /// settled queue's shard.
+  /// Staged into `forward_to`, a queue on the settled queue's shard, in
+  /// the settle's own transaction: dequeue and enqueue as one unit.
   std::string forward_to{};
   std::span<const EnqueueRequest> forwarded{};
 };
@@ -214,9 +208,8 @@ class QueueService {
   /// empty settlement OK. An id the group holds no delivery of fails the
   /// call NotFound before anything is written; repeats within one list
   /// collapse, and an id listed under two outcomes is InvalidArgument.
-  /// The `forwarded` requests are staged in the same transaction; a
-  /// `forward_to` that does not exist is NotFound, and one on another
-  /// shard InvalidArgument, both before anything is written.
+  /// `forwarded` is staged in the same transaction; an unknown
+  /// `forward_to` is NotFound, one on another shard InvalidArgument.
   /// DurabilityUnknown (the WAL sync failed) still settled the ids in
   /// this process: an acked message is not redelivered.
   EDADB_NODISCARD virtual Status Settle(const std::string& queue,

@@ -293,23 +293,19 @@ Result<std::optional<Message>> ShardRouter::DequeueWait(
 
 Status ShardRouter::Settle(const std::string& queue, const std::string& group,
                            const Settlement& settlement) {
-  size_t shard = 0;
-  {
+  const size_t shard = ShardOf(queue);
+  if (!settlement.forwarded.empty()) {
+    // Staged in the settle's one transaction, a forward must stay in
+    // the settled queue's commit pipeline.
     MutexLock lock(&mu_);
-    shard = ShardOfLocked(queue);
-    // A forward is staged in the settle's one transaction, so it must
-    // stay in the settled queue's commit pipeline.
-    if (!settlement.forwarded.empty()) {
-      const auto to = queue_shard_.find(settlement.forward_to);
-      if (to == queue_shard_.end()) {
-        return Status::NotFound("queue '" + settlement.forward_to + "'");
-      }
-      if (to->second != shard) {
-        return Status::InvalidArgument(
-            "cannot forward from '" + queue + "' on shard " +
-            std::to_string(shard) + " to '" + settlement.forward_to +
-            "' on shard " + std::to_string(to->second));
-      }
+    const auto to = queue_shard_.find(settlement.forward_to);
+    if (to == queue_shard_.end()) {
+      return Status::NotFound("queue '" + settlement.forward_to + "'");
+    }
+    if (to->second != shard) {
+      return Status::InvalidArgument("cannot forward '" + queue + "' to '" +
+                                     settlement.forward_to +
+                                     "' on another shard");
     }
   }
   EDADB_ASSIGN_OR_RETURN(const std::vector<MessageId> acked,

@@ -91,8 +91,7 @@ class ShardRouter : public QueueService {
       const std::string& queue, const DequeueRequest& request,
       TimestampMicros timeout_micros) override;
 
-  /// Untags the three id lists and settles them on the queue's shard. A
-  /// forward to a queue on another shard is InvalidArgument.
+  /// Untags the three id lists and settles them on the queue's shard.
   EDADB_NODISCARD Status Settle(const std::string& queue,
                                 const std::string& group,
                                 const Settlement& settlement) override;
